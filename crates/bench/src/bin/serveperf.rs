@@ -26,7 +26,9 @@
 //! * the request log holds exactly one JSONL line per request,
 //! * a spot check of one reply per distinct (circuit, library) pair is
 //!   byte-identical to a one-shot `Mapper::map` — under every telemetry
-//!   configuration.
+//!   configuration,
+//! * replies are paired with requests by id, and with two or more workers
+//!   some replies actually arrived out of order.
 
 #[cfg(unix)]
 mod imp {
@@ -112,6 +114,55 @@ mod imp {
         scrapes: usize,
         log_lines: usize,
         tail_files: usize,
+        /// Replies that overtook an earlier request of their connection.
+        out_of_order: usize,
+    }
+
+    /// What one client connection saw, every reply paired with its
+    /// request by id.
+    #[derive(Default)]
+    struct ClientResult {
+        /// First reply BLIF per distinct (circuit, lib) pair.
+        kept: BTreeMap<(String, usize), String>,
+        errors: usize,
+        /// Per-request server-side map time (the sum of the reply's phase
+        /// seconds — free of client pipelining and queueing), split into
+        /// first-seen circuits (cold caches) and repeats of the hot set
+        /// (warm caches).
+        lat_first: Vec<u64>,
+        lat_repeat: Vec<u64>,
+        out_of_order: usize,
+    }
+
+    impl ClientResult {
+        fn record(&mut self, req: &dagmap_benchgen::ServeRequest, reply: &dagmap_obs::json::Value) {
+            if let Some(phases) = reply.get("phases") {
+                let sec = |k: &str| phases.get(k).and_then(|v| v.as_num()).unwrap_or(0.0);
+                let us = ((sec("decompose_seconds")
+                    + sec("label_seconds")
+                    + sec("cover_seconds")
+                    + sec("area_recovery_seconds"))
+                    * 1e6) as u64;
+                if req.repeat {
+                    self.lat_repeat.push(us);
+                } else {
+                    self.lat_first.push(us);
+                }
+            }
+            if reply.get("error").is_some() {
+                self.errors += 1;
+                return;
+            }
+            self.kept
+                .entry((req.circuit.clone(), req.lib_index))
+                .or_insert_with(|| {
+                    reply
+                        .get("blif")
+                        .and_then(|b| b.as_str())
+                        .expect("ok reply carries blif")
+                        .to_owned()
+                });
+        }
     }
 
     /// One plain-HTTP GET against the daemon's metrics listener; returns
@@ -197,103 +248,58 @@ mod imp {
         });
 
         // Partition the stream round-robin across client threads. Each
-        // client pipelines up to PIPELINE_WINDOW frames and keeps the first
+        // client pipelines up to PIPELINE_WINDOW frames, tags each with an
+        // id, and pairs every reply with its request by that id: with more
+        // than one worker, replies arrive out of order. It keeps the first
         // reply BLIF per distinct (circuit, lib) pair for the bit-identity
         // spot check.
         let t0 = Instant::now();
-        #[allow(clippy::type_complexity)]
-        let replies: Vec<(BTreeMap<(String, usize), String>, usize, Vec<u64>, Vec<u64>)> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        let my: Vec<_> =
-                            stream.iter().skip(c).step_by(clients).cloned().collect();
-                        let endpoint = endpoint.clone();
-                        s.spawn(move || {
-                            let mut client = Client::connect(&endpoint).expect("client connects");
-                            let mut kept: BTreeMap<(String, usize), String> = BTreeMap::new();
-                            let mut errors = 0usize;
-                            // Per-request server-side map time (the sum of
-                            // the reply's phase seconds — free of client
-                            // pipelining and queueing), split into
-                            // first-seen circuits (cold caches) and
-                            // repeats of the hot set (warm caches).
-                            let mut lat_first: Vec<u64> = Vec::new();
-                            let mut lat_repeat: Vec<u64> = Vec::new();
-                            let mut outstanding: Vec<(String, usize, bool)> = Vec::new();
-                            let drain =
-                                |client: &mut Client,
-                                 outstanding: &mut Vec<(String, usize, bool)>,
-                                 kept: &mut BTreeMap<(String, usize), String>,
-                                 errors: &mut usize,
-                                 lat_first: &mut Vec<u64>,
-                                 lat_repeat: &mut Vec<u64>| {
-                                    let (circuit, lib_index, repeat) = outstanding.remove(0);
-                                    let reply = client.recv().expect("reply");
-                                    if let Some(phases) = reply.get("phases") {
-                                        let sec = |k: &str| {
-                                            phases.get(k).and_then(|v| v.as_num()).unwrap_or(0.0)
-                                        };
-                                        let us = ((sec("decompose_seconds")
-                                            + sec("label_seconds")
-                                            + sec("cover_seconds")
-                                            + sec("area_recovery_seconds"))
-                                            * 1e6) as u64;
-                                        if repeat {
-                                            lat_repeat.push(us);
-                                        } else {
-                                            lat_first.push(us);
-                                        }
-                                    }
-                                    if reply.get("error").is_some() {
-                                        *errors += 1;
-                                        return;
-                                    }
-                                    kept.entry((circuit, lib_index)).or_insert_with(|| {
-                                        reply
-                                            .get("blif")
-                                            .and_then(|b| b.as_str())
-                                            .expect("ok reply carries blif")
-                                            .to_owned()
-                                    });
-                                };
-                            for req in &my {
-                                if outstanding.len() >= PIPELINE_WINDOW {
-                                    drain(
-                                        &mut client,
-                                        &mut outstanding,
-                                        &mut kept,
-                                        &mut errors,
-                                        &mut lat_first,
-                                        &mut lat_repeat,
-                                    );
-                                }
-                                let payload = map_request(
-                                    &req.blif,
-                                    &MapCall {
-                                        lib: Some(&lib_names[req.lib_index]),
-                                        ..MapCall::default()
-                                    },
-                                );
-                                client.send(&payload).expect("send");
-                                outstanding.push((req.circuit.clone(), req.lib_index, req.repeat));
+        let replies: Vec<ClientResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    let my: Vec<_> = stream.iter().skip(c).step_by(clients).collect();
+                    let endpoint = endpoint.clone();
+                    s.spawn(move || {
+                        let mut client = Client::connect(&endpoint).expect("client connects");
+                        let mut out = ClientResult::default();
+                        // Requests in flight, oldest first, by index into `my`.
+                        let mut outstanding: Vec<usize> = Vec::new();
+                        let mut drain = |client: &mut Client, outstanding: &mut Vec<usize>| {
+                            let reply = client.recv().expect("reply");
+                            let pos = reply
+                                .get("id")
+                                .and_then(|v| v.as_str())
+                                .and_then(|id| id.parse::<usize>().ok())
+                                .and_then(|i| outstanding.iter().position(|&o| o == i))
+                                .expect("reply id names an outstanding request");
+                            out.out_of_order += usize::from(pos != 0);
+                            out.record(my[outstanding.remove(pos)], &reply);
+                        };
+                        for (i, req) in my.iter().enumerate() {
+                            if outstanding.len() >= PIPELINE_WINDOW {
+                                drain(&mut client, &mut outstanding);
                             }
-                            while !outstanding.is_empty() {
-                                drain(
-                                    &mut client,
-                                    &mut outstanding,
-                                    &mut kept,
-                                    &mut errors,
-                                    &mut lat_first,
-                                    &mut lat_repeat,
-                                );
-                            }
-                            (kept, errors, lat_first, lat_repeat)
-                        })
+                            let id = i.to_string();
+                            let payload = map_request(
+                                &req.blif,
+                                &MapCall {
+                                    id: Some(&id),
+                                    lib: Some(&lib_names[req.lib_index]),
+                                    ..MapCall::default()
+                                },
+                            );
+                            client.send(&payload).expect("send");
+                            outstanding.push(i);
+                        }
+                        while !outstanding.is_empty() {
+                            drain(&mut client, &mut outstanding);
+                        }
+                        out
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         let wall_s = t0.elapsed().as_secs_f64();
 
         // Every reply is in: the endpoint must already account for the
@@ -345,18 +351,19 @@ mod imp {
         let _ = std::fs::remove_file(&log_path);
         let _ = std::fs::remove_dir_all(&tail_dir);
 
-        let client_errors: usize = replies.iter().map(|(_, e, ..)| *e).sum();
+        let client_errors: usize = replies.iter().map(|r| r.errors).sum();
         assert_eq!(client_errors, 0, "{label}: client observed error frames");
+        let out_of_order = replies.iter().map(|r| r.out_of_order).sum();
 
         let mut kept: BTreeMap<(String, usize), String> = BTreeMap::new();
         let mut lat_first = Vec::new();
         let mut lat_repeat = Vec::new();
-        for (k, _, f, r) in replies {
-            for (key, text) in k {
+        for r in replies {
+            for (key, text) in r.kept {
                 kept.entry(key).or_insert(text);
             }
-            lat_first.extend(f);
-            lat_repeat.extend(r);
+            lat_first.extend(r.lat_first);
+            lat_repeat.extend(r.lat_repeat);
         }
         lat_first.sort_unstable();
         lat_repeat.sort_unstable();
@@ -370,6 +377,7 @@ mod imp {
             scrapes,
             log_lines,
             tail_files,
+            out_of_order,
         }
     }
 
@@ -601,6 +609,18 @@ mod imp {
             assert!(hits > 0.0, "{label}: repeated circuits produced no memo hits");
         }
         assert!(metrics_a.scrapes > 0, "no live HTTP scrape succeeded mid-traffic");
+        // With two or more workers a short request overtakes a long one on
+        // the same connection; the id pairing above must have been needed.
+        let out_of_order: usize = [&base_a, &metrics_a, &full]
+            .iter()
+            .map(|p| p.out_of_order)
+            .sum();
+        if workers >= 2 {
+            assert!(
+                out_of_order > 0,
+                "{workers} workers never reordered a reply: the id pairing went unexercised"
+            );
+        }
         assert_eq!(
             full.log_lines,
             stream.len(),
@@ -685,7 +705,8 @@ mod imp {
         );
         println!(
             "  memo: {memo_hits:.0} hits / {memo_misses:.0} misses (hit rate {:.1}%); \
-             errors {server_errors:.0}, busy {busy:.0}; bit-identity {checked} pairs identical={identical}",
+             errors {server_errors:.0}, busy {busy:.0}; bit-identity {checked} pairs identical={identical}; \
+             {out_of_order} replies out of order",
             hit_rate * 100.0
         );
         println!(
@@ -744,6 +765,7 @@ mod imp {
         let _ = writeln!(json, "  \"served\": {served:.0},");
         let _ = writeln!(json, "  \"errors\": {:.0},", server_errors);
         let _ = writeln!(json, "  \"busy_rejects\": {busy:.0},");
+        let _ = writeln!(json, "  \"out_of_order_replies\": {out_of_order},");
         let _ = writeln!(json, "  \"bit_identity_pairs\": {checked},");
         let _ = writeln!(json, "  \"bit_identical\": {identical}");
         json.push_str("}\n");

@@ -56,15 +56,7 @@ impl LibraryIndex {
             if n == 0 || n > max_inputs {
                 continue;
             }
-            let pins: Vec<&str> = gate.pins().iter().map(|(p, _)| p.as_str()).collect();
-            let tt = TruthTable::from_fn(n, |m| {
-                gate.expr().eval(&|var| {
-                    pins.iter()
-                        .position(|p| *p == var)
-                        .map(|i| (m >> i) & 1 == 1)
-                        .unwrap_or(false)
-                })
-            });
+            let tt = TruthTable::from_bits(n, gate.program().truth_table());
             if tt.is_constant() || (0..n).any(|i| !tt.depends_on(i)) {
                 continue; // degenerate gates (buffers of subsets, constants)
             }
@@ -180,15 +172,7 @@ mod tests {
         // Every recorded transform is a replayable witness.
         for (g, t) in index.npn_lookup(&ncanon) {
             let gate = library.gate(*g);
-            let pins: Vec<&str> = gate.pins().iter().map(|(p, _)| p.as_str()).collect();
-            let tt = TruthTable::from_fn(gate.num_pins(), |m| {
-                gate.expr().eval(&|var| {
-                    pins.iter()
-                        .position(|p| *p == var)
-                        .map(|i| (m >> i) & 1 == 1)
-                        .unwrap_or(false)
-                })
-            });
+            let tt = TruthTable::from_bits(gate.num_pins(), gate.program().truth_table());
             assert_eq!(tt.apply_npn(t), ncanon, "{}", gate.name());
         }
     }

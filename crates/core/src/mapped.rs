@@ -77,6 +77,77 @@ pub struct MappedNetlist {
 }
 
 impl MappedNetlist {
+    /// Assembles a netlist from its parts, for example a mapping edited by
+    /// a tool or one with a planted fault. Arrivals, delay and area are
+    /// recomputed from the gate kinds.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a cell names an unknown gate kind, has a fanin count other
+    /// than its kind's pin count, or reads a signal that does not exist —
+    /// for cells, a signal of a cell at or after its own position.
+    pub fn from_parts(
+        name: impl Into<String>,
+        gate_kinds: Vec<GateKind>,
+        cells: Vec<Cell>,
+        inputs: Vec<String>,
+        latches: Vec<(String, Signal)>,
+        outputs: Vec<(String, Signal)>,
+    ) -> Result<MappedNetlist, NetlistError> {
+        let in_range = |s: Signal, cells_before: usize| match s {
+            Signal::Input(i) => (i as usize) < inputs.len(),
+            Signal::Latch(l) => (l as usize) < latches.len(),
+            Signal::Cell(c) => (c as usize) < cells_before,
+            Signal::Const(_) => true,
+        };
+        for (i, cell) in cells.iter().enumerate() {
+            let kind = gate_kinds.get(cell.kind as usize).ok_or_else(|| {
+                NetlistError::Invariant(format!("cell {i}: unknown gate kind {}", cell.kind))
+            })?;
+            if cell.fanins.len() != kind.pin_names.len() {
+                return Err(NetlistError::Invariant(format!(
+                    "cell {i}: {} fanins for {} pins of `{}`",
+                    cell.fanins.len(),
+                    kind.pin_names.len(),
+                    kind.name
+                )));
+            }
+            if let Some(s) = cell.fanins.iter().find(|&&s| !in_range(s, i)) {
+                return Err(NetlistError::Invariant(format!(
+                    "cell {i}: fanin {s:?} is not an earlier signal"
+                )));
+            }
+        }
+        if let Some((name, s)) = latches
+            .iter()
+            .chain(&outputs)
+            .find(|&&(_, s)| !in_range(s, cells.len()))
+        {
+            return Err(NetlistError::Invariant(format!(
+                "`{name}` reads {s:?}, which does not exist"
+            )));
+        }
+        let mut m = MappedNetlist {
+            name: name.into(),
+            area: cells.iter().map(|c| gate_kinds[c.kind as usize].area).sum(),
+            gate_kinds,
+            cells,
+            inputs,
+            latches,
+            outputs,
+            arrivals: Vec::new(),
+            delay: 0.0,
+        };
+        m.arrivals = m.recompute_arrivals();
+        m.delay = m
+            .outputs
+            .iter()
+            .chain(&m.latches)
+            .map(|&(_, s)| m.signal_arrival(s))
+            .fold(0.0, f64::max);
+        Ok(m)
+    }
+
     /// Netlist name (inherited from the subject graph).
     pub fn name(&self) -> &str {
         &self.name

@@ -7,6 +7,9 @@
 //!   parentheses, `CONST0`/`CONST1`) with truth tables and network lowering,
 //! * [`Gate`] — a library cell: area, output expression, per-pin
 //!   load-independent timing,
+//! * [`GateProgram`] — an expression compiled to a flat 64-lane stack
+//!   program over canonical pins: gate truth tables, supergate
+//!   enumeration and mapped-netlist simulation all evaluate through it,
 //! * [`PatternGraph`] — the NAND2/INV decomposition of a gate that the
 //!   matcher searches for inside subject graphs (trees, leaf-DAGs and
 //!   general DAGs all supported),
@@ -38,6 +41,7 @@ mod gate;
 mod library;
 mod parser;
 mod pattern;
+mod program;
 mod stdlibs;
 mod writer;
 
@@ -46,3 +50,4 @@ pub use expr::{Expr, TreeShape, TruthTable};
 pub use gate::{Gate, GateId, PinPhase, PinTiming};
 pub use library::{LibPattern, Library, PatternId, RootMasks};
 pub use pattern::{PatternGraph, PatternNode};
+pub use program::{truth_mask, GateProgram, EXHAUSTIVE_WORDS};

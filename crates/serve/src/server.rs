@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dagmap_core::{verify, MapOptions, Mapper, RetainedLabels, SharedMatchStore};
+use dagmap_core::{verify, MapOptions, MappedNetlist, Mapper, RetainedLabels, SharedMatchStore};
 use dagmap_genlib::Library;
 use dagmap_netlist::{blif, SubjectGraph};
 
@@ -513,10 +513,13 @@ impl Inner {
                     )
                 }
             };
-            let _ = job.writer.send(&frame);
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            // Telemetry is recorded before the reply goes out, so a client
+            // holding N replies always scrapes N requests' worth of log
+            // lines, kept traces and latency samples.
             ev.latency_us = t0.elapsed().as_micros() as u64;
             self.finish_request_telemetry(ev);
+            let _ = job.writer.send(&frame);
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
             if let Some(gauge) = &job.pending {
                 gauge.add(-1);
             }
@@ -662,6 +665,21 @@ fn record_report(ev: &mut RequestEvent, report: &dagmap_core::MapReport, out_byt
     ev.labels_reused = report.labels_reused as u64;
 }
 
+/// Runs the full verify battery on a served mapping; a failure is an
+/// internal error and counts in `dagmap_verify_failures_total`.
+fn verify_mapping(
+    inner: &Inner,
+    mapped: &MappedNetlist,
+    subject: &SubjectGraph,
+) -> Result<(), (ErrorKind, String)> {
+    verify::check(mapped, subject, VERIFY_SEED).map_err(|e| {
+        if let Some(tel) = &inner.telemetry {
+            tel.verify_failures_total.inc(1);
+        }
+        (ErrorKind::Internal, format!("verification failed: {e}"))
+    })
+}
+
 /// Maps one request. Returns the reply frame, or an error kind + message
 /// for the caller to wrap; telemetry of the attempt accumulates into `ev`.
 fn process_map(
@@ -705,8 +723,7 @@ fn process_map(
             (mapped, report, None)
         };
         if inner.verify {
-            verify::check(&mapped, &subject, VERIFY_SEED)
-                .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
+            verify_mapping(inner, &mapped, &subject)?;
         }
         let out = mapped
             .to_network()
@@ -797,8 +814,7 @@ fn process_remap(
             .map_incremental(&subject, opts, &labels, Some(&state.shared))
             .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
         if inner.verify {
-            verify::check(&mapped, &subject, VERIFY_SEED)
-                .map_err(|e| (ErrorKind::Internal, format!("verification failed: {e}")))?;
+            verify_mapping(inner, &mapped, &subject)?;
         }
         let out = mapped
             .to_network()

@@ -89,6 +89,8 @@ pub(crate) struct Telemetry {
     pub workers: Gauge,
     pub workers_busy: Gauge,
     pub tail_traces_kept_total: Counter,
+    /// Served mappings that failed `verify::check`: 0 on a healthy daemon.
+    pub verify_failures_total: Counter,
     latency_first: Histogram,
     latency_repeat: Histogram,
     latency_remap: Histogram,
@@ -115,6 +117,7 @@ impl Telemetry {
             workers: registry.gauge("dagmap_workers"),
             workers_busy: registry.gauge("dagmap_workers_busy"),
             tail_traces_kept_total: registry.counter("dagmap_tail_traces_kept_total"),
+            verify_failures_total: registry.counter("dagmap_verify_failures_total"),
             latency_first: hist("dagmap_request_latency_us{kind=\"first\"}"),
             latency_repeat: hist("dagmap_request_latency_us{kind=\"repeat\"}"),
             latency_remap: hist("dagmap_request_latency_us{kind=\"remap\"}"),

@@ -584,6 +584,8 @@ fn metrics_frame_exposes_live_counters_and_stays_byte_neutral() {
     let find = |name: &str| dagmap_serve::dash::find(&samples, name, &[]);
     assert_eq!(find("dagmap_requests_total"), Some(3.0));
     assert_eq!(find("dagmap_errors_total"), Some(0.0));
+    // Every served mapping was verified (the default), and none failed.
+    assert_eq!(find("dagmap_verify_failures_total"), Some(0.0));
     assert!(find("dagmap_workers").unwrap() >= 1.0);
     // First request was first-seen, the two repeats split into the repeat
     // class.
@@ -745,6 +747,9 @@ fn tail_sampling_keeps_bounded_valid_traces() {
     let _ = std::fs::remove_dir_all(&tail_dir);
     let keep = 3;
     let config = ServeConfig {
+        // Two workers on every host: the reply/telemetry ordering this
+        // test pins is a cross-thread race even on one CPU.
+        workers: 2,
         tail: Some(dagmap_serve::TailConfig {
             dir: tail_dir.clone(),
             // quantile <= 0 keeps every trace: deterministic for the test

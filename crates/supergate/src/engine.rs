@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dagmap_boolmatch::TruthTable;
 use dagmap_genlib::{
-    Expr, Gate, GenlibError, Library, PatternGraph, PatternNode, PinTiming, TreeShape,
+    truth_mask, Expr, Gate, GateProgram, GenlibError, Library, PatternGraph, PatternNode,
+    PinTiming, TreeShape, EXHAUSTIVE_WORDS,
 };
 
 use crate::{SupergateError, SupergateExtension, SupergateOptions, SupergateReport, SupergateStat};
@@ -38,113 +39,19 @@ const PARALLEL_THRESHOLD: usize = 8;
 
 const EPS: f64 = 1e-9;
 
-/// Meaningful minterm bits for `n` variables.
-fn word_mask(n: usize) -> u64 {
-    if n >= 6 {
-        u64::MAX
-    } else {
-        (1u64 << (1usize << n)) - 1
-    }
-}
-
-/// Truth-table word of variable `i` over `n` variables.
-fn var_word(i: usize, n: usize) -> u64 {
-    let mut w = 0u64;
-    for m in 0..(1usize << n) {
-        if (m >> i) & 1 == 1 {
-            w |= 1 << m;
-        }
-    }
-    w
-}
-
 /// The `1.0 + 0.2·(depth−1)` block-delay convention of the builtin `44-x`
 /// libraries (`stdlibs::auto`), applied per pin.
 fn depth_delay(depth: u32) -> f64 {
     1.0 + 0.2 * (f64::from(depth) - 1.0)
 }
 
-/// A gate expression compiled to a stack program over pin indices, so
-/// candidate truth tables cost a handful of word ops instead of a recursive
-/// `Expr::eval` per minterm.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Pin(u8),
-    Const(bool),
-    Not,
-    And(u8),
-    Or(u8),
-}
-
-fn compile(expr: &Expr, pins: &[String], ops: &mut Vec<Op>) {
-    match expr {
-        Expr::Const(v) => ops.push(Op::Const(*v)),
-        Expr::Var(v) => {
-            let i = pins.iter().position(|p| p == v).expect("pin bound");
-            ops.push(Op::Pin(u8::try_from(i).expect("≤ 16 pins")));
-        }
-        Expr::Not(e) => {
-            compile(e, pins, ops);
-            ops.push(Op::Not);
-        }
-        Expr::And(es) => {
-            for e in es {
-                compile(e, pins, ops);
-            }
-            ops.push(Op::And(u8::try_from(es.len()).expect("small arity")));
-        }
-        Expr::Or(es) => {
-            for e in es {
-                compile(e, pins, ops);
-            }
-            ops.push(Op::Or(u8::try_from(es.len()).expect("small arity")));
-        }
-    }
-}
-
-/// Evaluates a compiled program over child truth-table words.
-fn eval_ops(ops: &[Op], child_tt: &[u64], mask: u64) -> u64 {
-    let mut stack = [0u64; 32];
-    let mut sp = 0usize;
-    for op in ops {
-        match *op {
-            Op::Pin(i) => {
-                stack[sp] = child_tt[i as usize];
-                sp += 1;
-            }
-            Op::Const(v) => {
-                stack[sp] = if v { mask } else { 0 };
-                sp += 1;
-            }
-            Op::Not => stack[sp - 1] = !stack[sp - 1] & mask,
-            Op::And(k) => {
-                let k = k as usize;
-                let mut v = stack[sp - k];
-                for j in 1..k {
-                    v &= stack[sp - k + j];
-                }
-                sp -= k - 1;
-                stack[sp - 1] = v;
-            }
-            Op::Or(k) => {
-                let k = k as usize;
-                let mut v = stack[sp - k];
-                for j in 1..k {
-                    v |= stack[sp - k + j];
-                }
-                sp -= k - 1;
-                stack[sp - 1] = v;
-            }
-        }
-    }
-    stack[0] & mask
-}
-
 /// A base-library gate prepared for use as a composition root.
 struct RootGate {
     /// Index into `base.gates()`.
     gate: usize,
-    ops: Vec<Op>,
+    /// Compiled so candidate truth tables cost a handful of word ops
+    /// instead of a recursive `Expr::eval` per minterm.
+    program: GateProgram,
     /// Balanced-pattern depth below the output, per canonical pin.
     pin_depth: Vec<u8>,
     /// Balanced-pattern internal node count (NAND2-equivalent area).
@@ -192,18 +99,11 @@ fn prepare_roots(base: &Library, max_inputs: usize) -> Result<Vec<RootGate>, Gen
         if pattern.is_trivial() {
             continue;
         }
-        let mut ops = Vec::new();
-        compile(gate.expr(), &pins, &mut ops);
+        let program = GateProgram::compile(gate.expr(), &pins);
 
         // Full symmetry: the gate truth table is invariant under every
         // adjacent pin transposition (adjacent transpositions generate S_k).
-        let tt = TruthTable::from_fn(k, |m| {
-            gate.expr().eval(&|name| {
-                pins.iter()
-                    .position(|p| p == name)
-                    .is_some_and(|i| (m >> i) & 1 == 1)
-            })
-        });
+        let tt = TruthTable::from_bits(k, program.truth_table());
         let symmetric = (0..k.saturating_sub(1)).all(|i| {
             let mut perm: Vec<usize> = (0..k).collect();
             perm.swap(i, i + 1);
@@ -216,7 +116,7 @@ fn prepare_roots(base: &Library, max_inputs: usize) -> Result<Vec<RootGate>, Gen
             .collect();
         roots.push(RootGate {
             gate: gi,
-            ops,
+            program,
             pin_depth,
             internal: pattern.num_internal() as f64,
             pins: k,
@@ -363,7 +263,7 @@ fn finalize(
     evaluated: &mut usize,
 ) {
     *evaluated += 1;
-    let tt = eval_ops(&root.ops, &tts[..k], ctx.mask);
+    let tt = root.program.eval(|i| tts[i], ctx.mask);
     if tt == 0 || tt == ctx.mask || ctx.pool_tts.contains(&tt) {
         return;
     }
@@ -592,7 +492,7 @@ pub fn extend_library(
         obs_span.set_u64("max_depth", u64::from(opts.max_depth));
     }
     let nvars = opts.max_inputs;
-    let mask = word_mask(nvars);
+    let mask = truth_mask(nvars);
     let threads = opts
         .num_threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -609,14 +509,7 @@ pub fn extend_library(
         if k == 0 || k > MAX_VARS {
             continue;
         }
-        let pins: Vec<&str> = gate.pins().iter().map(|(n, _)| n.as_str()).collect();
-        let tt = TruthTable::from_fn(k, |m| {
-            gate.expr().eval(&|name| {
-                pins.iter()
-                    .position(|p| *p == name)
-                    .is_some_and(|i| (m >> i) & 1 == 1)
-            })
-        });
+        let tt = TruthTable::from_bits(k, gate.program().truth_table());
         if tt.is_constant() {
             continue;
         }
@@ -632,7 +525,7 @@ pub fn extend_library(
         .map(|i| {
             let pat_depth = [0u8; MAX_VARS];
             Item {
-                tt: var_word(i, nvars),
+                tt: EXHAUSTIVE_WORDS[i] & mask,
                 support: 1 << i,
                 depth: 0,
                 pat_depth,
@@ -669,7 +562,7 @@ pub fn extend_library(
         }
         let mut lo = [0u64; MAX_VARS];
         for (v, slot) in lo.iter_mut().enumerate().take(nvars) {
-            *slot = !var_word(v, nvars) & mask;
+            *slot = !EXHAUSTIVE_WORDS[v] & mask;
         }
         let units: Vec<(u32, u32)> = (0..roots.len())
             .flat_map(|r| {
@@ -914,14 +807,7 @@ mod tests {
         let mut base_points: HashMap<(usize, u64), Vec<(f64, f64)>> = HashMap::new();
         for gate in base.gates() {
             let k = gate.num_pins();
-            let pins: Vec<String> = gate.pins().iter().map(|(n, _)| n.clone()).collect();
-            let tt = TruthTable::from_fn(k, |m| {
-                gate.expr().eval(&|name| {
-                    pins.iter()
-                        .position(|p| p == name)
-                        .is_some_and(|i| (m >> i) & 1 == 1)
-                })
-            });
+            let tt = TruthTable::from_bits(k, gate.program().truth_table());
             if tt.is_constant() {
                 continue;
             }
@@ -933,14 +819,7 @@ mod tests {
         let base_count = base.gates().len();
         for sg in &ext.library.gates()[base_count..] {
             let k = sg.num_pins();
-            let pins: Vec<String> = sg.pins().iter().map(|(n, _)| n.clone()).collect();
-            let tt = TruthTable::from_fn(k, |m| {
-                sg.expr().eval(&|name| {
-                    pins.iter()
-                        .position(|p| p == name)
-                        .is_some_and(|i| (m >> i) & 1 == 1)
-                })
-            });
+            let tt = TruthTable::from_bits(k, sg.program().truth_table());
             if let Some(points) = base_points.get(&canonical_key(k, tt.bits())) {
                 assert!(
                     !dominated(points, sg.max_delay(), sg.area()),
@@ -961,14 +840,7 @@ mod tests {
         let mut seen: HashMap<(usize, u64), Vec<(f64, f64)>> = HashMap::new();
         for sg in &ext.library.gates()[base_count..] {
             let k = sg.num_pins();
-            let pins: Vec<String> = sg.pins().iter().map(|(n, _)| n.clone()).collect();
-            let tt = TruthTable::from_fn(k, |m| {
-                sg.expr().eval(&|name| {
-                    pins.iter()
-                        .position(|p| p == name)
-                        .is_some_and(|i| (m >> i) & 1 == 1)
-                })
-            });
+            let tt = TruthTable::from_bits(k, sg.program().truth_table());
             let key = canonical_key(k, tt.bits());
             let points = seen.entry(key).or_default();
             assert!(
@@ -1002,14 +874,7 @@ mod tests {
             if sg.num_pins() != 2 {
                 continue;
             }
-            let pins: Vec<String> = sg.pins().iter().map(|(n, _)| n.clone()).collect();
-            let tt = TruthTable::from_fn(2, |m| {
-                sg.expr().eval(&|name| {
-                    pins.iter()
-                        .position(|p| p == name)
-                        .is_some_and(|i| (m >> i) & 1 == 1)
-                })
-            });
+            let tt = TruthTable::from_bits(2, sg.program().truth_table());
             found_and |= tt.p_canonical().0 == and2.p_canonical().0;
             found_or |= tt.p_canonical().0 == or2.p_canonical().0;
         }

@@ -125,11 +125,15 @@ cmp target/serve_oneshot.blif target/serve_metrics_served.blif
 
 # Traffic-driven serve bench in quick mode: ~120 pipelined requests over two
 # libraries; asserts zero errors, memo hits on repeats, and a per-pair
-# bit-identity spot check against one-shot mapping.
+# bit-identity spot check against one-shot mapping. Two workers on every
+# host, 1-CPU ones included: reordered replies need interleaving, not
+# parallel hardware, and the bench asserts some replies were reordered
+# (and still paired with their requests by id).
 cargo run -q --release --offline -p dagmap-bench --bin serveperf -- \
-  --quick --out target/BENCH_serve_smoke.json
+  --quick --workers 2 --out target/BENCH_serve_smoke.json
 grep -q '"bit_identical": true' target/BENCH_serve_smoke.json
 grep -q '"errors": 0' target/BENCH_serve_smoke.json
+! grep -q '"out_of_order_replies": 0,' target/BENCH_serve_smoke.json
 # The bench also replays the stream with telemetry off/on and records the
 # overhead; presence of the key proves the comparison ran.
 grep -q '"metrics_overhead_pct"' target/BENCH_serve_smoke.json
