@@ -1,29 +1,29 @@
-//! Serial vs parallel wavefront labeling micro-benchmark.
+//! Labeling micro-benchmark: serial label times plus the zero-allocation
+//! contract.
 //!
-//! Times `dagmap_core::label_with` with one worker and with `--threads N`
-//! workers over the benchgen circuits, checks the results are bit-identical,
-//! and writes the numbers to `BENCH_label.json` (hand-rolled JSON — the
-//! workspace is dependency-free).
+//! Times `dagmap_core::label` (structural source, lib2, standard matches,
+//! default acceleration) over the benchgen circuits and writes the numbers
+//! to `BENCH_label.json` (hand-rolled JSON — the workspace is
+//! dependency-free), together with the host's `nproc`.
 //!
-//! Usage: `labelperf [--quick] [--threads N] [--out PATH]`
+//! Usage: `labelperf [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the circuit set and repetition count (the tier-1 smoke
-//! run); `--threads` defaults to `std::thread::available_parallelism()`.
-//! On hosts without real parallelism the engine declines the worker pool
-//! (reported as `threads_used`), so the "parallel" column degrades to a
-//! second serial measurement instead of a slowdown.
+//! run).
 //!
 //! The binary also runs under a counting global allocator wired into
 //! `dagmap_core::allocmeter`, and asserts the flat kernel's steady-state
-//! zero-allocation contract on every serial reference run.
+//! zero-allocation contract on every circuit: each `label.wave` (one
+//! topological level) must meter zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use dagmap_core::{label_with, MatchMode, Objective};
+use dagmap_core::{label, Labels, MatchMode, Objective, StructuralSource};
 use dagmap_genlib::Library;
+use dagmap_match::MatchConfig;
 use dagmap_netlist::SubjectGraph;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -61,54 +61,43 @@ struct CircuitResult {
     match_words: usize,
     wave_allocs: usize,
     serial_s: f64,
-    parallel_s: f64,
-    identical: bool,
+    serial_median_s: f64,
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
+fn label_lib2(subject: &SubjectGraph, lib: &Library) -> Labels {
+    let source = StructuralSource::new(lib, MatchMode::Standard, MatchConfig::default(), None);
+    label(subject, &source, Objective::Delay).expect("labels")
 }
 
-fn time_label(subject: &SubjectGraph, lib: &Library, threads: usize, reps: usize) -> f64 {
-    best_of(reps, || {
-        let t = Instant::now();
-        let labels = label_with(
-            subject,
-            lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(threads),
-        )
-        .expect("labels");
-        std::hint::black_box(labels.matches_enumerated);
-        t.elapsed().as_secs_f64()
-    })
+/// Per-repetition label times, sorted ascending.
+fn time_label(subject: &SubjectGraph, lib: &Library, reps: usize) -> Vec<f64> {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            let labels = label_lib2(subject, lib);
+            std::hint::black_box(labels.stats.enumerated);
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times
 }
 
 fn main() {
     let mut quick = false;
-    let mut threads: Option<usize> = None;
     let mut out = String::from("BENCH_label.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a positive integer"),
-                )
-            }
             "--out" => out = args.next().expect("--out needs a path"),
             other => panic!("unknown argument `{other}`"),
         }
     }
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = threads.unwrap_or(available).max(2);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Best-of-N timing: the container the benches run in is noisy and
     // shared, so the minimum over more repetitions is the better estimate
-    // of the kernel's actual cost.
+    // of the kernel's actual cost; the median is reported beside it.
     let reps = if quick { 1 } else { 7 };
     dagmap_core::allocmeter::install(&ALLOCS);
 
@@ -128,84 +117,49 @@ fn main() {
     };
     let lib = Library::lib2_like();
 
-    println!(
-        "labelperf: {} hardware threads available, timing serial vs {} workers ({} reps)",
-        available, threads, reps
-    );
+    println!("labelperf: nproc {nproc}, serial labeling ({reps} reps)");
     let mut results = Vec::new();
-    let mut threads_used = 1usize;
     for (name, net) in circuits {
         let subject = SubjectGraph::from_network(&net).expect("benchgen circuits decompose");
         let levels = subject.levels();
         let (num_levels, max_width) = (levels.num_levels(), levels.max_width());
-        let serial = label_with(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-        )
-        .expect("labels");
-        let parallel = label_with(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(threads),
-        )
-        .expect("labels");
-        let identical = serial.arrival == parallel.arrival
-            && serial.area_flow == parallel.area_flow
-            && serial.best == parallel.best
-            && serial.matches_enumerated == parallel.matches_enumerated;
-        let wave_allocs: usize = serial.wave_allocs.iter().sum();
+        let labels = label_lib2(&subject, &lib);
+        let wave_allocs: usize = labels.wave_allocs.iter().sum();
         assert_eq!(
             wave_allocs, 0,
             "{name}: steady-state waves allocated ({:?})",
-            serial.wave_allocs
+            labels.wave_allocs
         );
-        threads_used = threads_used.max(parallel.threads_used);
-        let serial_s = time_label(&subject, &lib, 1, reps);
-        let parallel_s = time_label(&subject, &lib, threads, reps);
+        let times = time_label(&subject, &lib, reps);
+        let (serial_s, serial_median_s) = (times[0], times[times.len() / 2]);
         println!(
-            "  {name:12} {:>6} nodes {:>4} levels (width {:>4}): serial {:>8.2} ms, {} workers {:>8.2} ms, speedup {:.2}x, identical={identical}, wave_allocs={wave_allocs}",
+            "  {name:12} {:>6} nodes {:>4} levels (width {:>4}): best {:>8.2} ms, median {:>8.2} ms, wave_allocs={wave_allocs}",
             subject.network().num_nodes(),
             num_levels,
             max_width,
             serial_s * 1e3,
-            parallel.threads_used,
-            parallel_s * 1e3,
-            serial_s / parallel_s,
+            serial_median_s * 1e3,
         );
         results.push(CircuitResult {
             name,
             subject_nodes: subject.network().num_nodes(),
             levels: num_levels,
             max_width,
-            matches_enumerated: serial.matches_enumerated,
-            matches_pruned: serial.matches_pruned,
-            match_words: serial.match_words,
+            matches_enumerated: labels.stats.enumerated,
+            matches_pruned: labels.stats.pruned,
+            match_words: labels.stats.words,
             wave_allocs,
             serial_s,
-            parallel_s,
-            identical,
+            serial_median_s,
         });
     }
 
-    let all_identical = results.iter().all(|r| r.identical);
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"labelperf\",");
     let _ = writeln!(json, "  \"library\": \"{}\",", lib.name());
-    let _ = writeln!(json, "  \"nproc\": {available},");
-    let _ = writeln!(json, "  \"hardware_threads\": {available},");
-    let _ = writeln!(json, "  \"parallel_threads\": {threads},");
-    let _ = writeln!(json, "  \"threads_used\": {threads_used},");
-    // False on 1-CPU hosts where the engine declines the worker pool; lets
-    // consumers (tier1.sh) skip the speedup assertion instead of failing it.
-    let _ = writeln!(json, "  \"parallel_engaged\": {},", threads_used > 1);
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
     let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"all_identical\": {all_identical},");
     json.push_str("  \"circuits\": [\n");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
@@ -214,9 +168,8 @@ fn main() {
             "    {{\"name\": \"{}\", \"subject_nodes\": {}, \"levels\": {}, \"max_width\": {}, \
              \"matches_enumerated\": {}, \"matches_pruned\": {}, \
              \"match_words\": {}, \"wave_allocs\": {}, \
-             \"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}, \
-             \"matches_per_sec_serial\": {:.0}, \"matches_per_sec_parallel\": {:.0}, \
-             \"identical\": {}}}{sep}",
+             \"serial_s\": {:.6}, \"serial_median_s\": {:.6}, \
+             \"matches_per_sec_serial\": {:.0}}}{sep}",
             r.name,
             r.subject_nodes,
             r.levels,
@@ -226,15 +179,11 @@ fn main() {
             r.match_words,
             r.wave_allocs,
             r.serial_s,
-            r.parallel_s,
-            r.serial_s / r.parallel_s,
+            r.serial_median_s,
             r.matches_enumerated as f64 / r.serial_s,
-            r.matches_enumerated as f64 / r.parallel_s,
-            r.identical,
         );
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out, &json).expect("write BENCH_label.json");
     println!("wrote {out}");
-    assert!(all_identical, "parallel labels diverged from serial");
 }

@@ -1,7 +1,7 @@
 //! Match-acceleration micro-benchmark: naive full-scan matching vs the
 //! fingerprint index vs index + cone-class memoization.
 //!
-//! Times serial `dagmap_core::label_with_config` under the three
+//! Times `dagmap_core::label` under the three
 //! configurations over the benchgen ISCAS-like suite crossed with the
 //! builtin libraries (plus a depth-2 supergate extension of 44-1), asserts
 //! the labels — and, on the smallest circuit, the mapped BLIF — are
@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
+use dagmap_core::{label, Labels, MapOptions, Mapper, MatchMode, Objective, StructuralSource};
 use dagmap_genlib::Library;
 use dagmap_match::{MatchConfig, MemoPolicy};
 use dagmap_netlist::SubjectGraph;
@@ -66,19 +66,16 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
+fn label_config(subject: &SubjectGraph, lib: &Library, config: MatchConfig) -> Labels {
+    let source = StructuralSource::new(lib, MatchMode::Standard, config, None);
+    label(subject, &source, Objective::Delay).expect("labels")
+}
+
 fn time_config(subject: &SubjectGraph, lib: &Library, config: MatchConfig, reps: usize) -> f64 {
     best_of(reps, || {
         let t = Instant::now();
-        let labels = label_with_config(
-            subject,
-            lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            Some(1),
-            config,
-        )
-        .expect("labels");
-        std::hint::black_box(labels.matches_enumerated);
+        let labels = label_config(subject, lib, config);
+        std::hint::black_box(labels.stats.enumerated);
         t.elapsed().as_secs_f64()
     })
 }
@@ -144,17 +141,7 @@ fn main() {
     for (name, net) in &circuits {
         let subject = SubjectGraph::from_network(net).expect("benchgen circuits decompose");
         for lib in &libraries {
-            let run = |config| {
-                label_with_config(
-                    &subject,
-                    lib,
-                    MatchMode::Standard,
-                    Objective::Delay,
-                    Some(1),
-                    config,
-                )
-                .expect("labels")
-            };
+            let run = |config| label_config(&subject, lib, config);
             let base = run(BASELINE);
             let idx = run(INDEXED);
             let memo = run(MEMOIZED);
@@ -165,9 +152,9 @@ fn main() {
                 && base.best == idx.best
                 && base.best == memo.best
                 && base.best == auto.best
-                && base.matches_enumerated == idx.matches_enumerated
-                && base.matches_enumerated == memo.matches_enumerated
-                && base.matches_enumerated == auto.matches_enumerated;
+                && base.stats.enumerated == idx.stats.enumerated
+                && base.stats.enumerated == memo.stats.enumerated
+                && base.stats.enumerated == auto.stats.enumerated;
             assert!(
                 identical,
                 "{name}/{}: accelerated labels diverged",
@@ -177,8 +164,8 @@ fn main() {
             let indexed_s = time_config(&subject, lib, INDEXED, reps);
             let memoized_s = time_config(&subject, lib, MEMOIZED, reps);
             let auto_s = time_config(&subject, lib, AUTO, reps);
-            let memo_hit_rate = if memo.memo_lookups > 0 {
-                memo.memo_hits as f64 / memo.memo_lookups as f64
+            let memo_hit_rate = if memo.stats.memo_lookups > 0 {
+                memo.stats.memo_hits as f64 / memo.stats.memo_lookups as f64
             } else {
                 0.0
             };
@@ -195,15 +182,15 @@ fn main() {
                 100.0 * memo_hit_rate,
                 auto_s * 1e3,
                 baseline_s / auto_s,
-                if auto.memo_lookups > 0 { "on" } else { "off" },
+                if auto.stats.memo_lookups > 0 { "on" } else { "off" },
             );
             rows.push(Row {
                 circuit: name.clone(),
                 library: lib.name().to_owned(),
                 subject_nodes: subject.network().num_nodes(),
-                matches_enumerated: base.matches_enumerated,
-                pruned_baseline: base.matches_pruned,
-                pruned_indexed: idx.matches_pruned,
+                matches_enumerated: base.stats.enumerated,
+                pruned_baseline: base.stats.pruned,
+                pruned_indexed: idx.stats.pruned,
                 memo_hit_rate,
                 baseline_s,
                 indexed_s,

@@ -123,7 +123,7 @@ fn main() {
         // Cold: full mapping, fresh state, plus the retained label
         // snapshot the incremental column replays against.
         let (cold_map, _, retained) = mapper
-            .map_with_report_retaining(&subject, opts, None)
+            .map_with_store(&subject, opts, None, true)
             .expect("cold map");
         let retained = retained.expect("benchgen subjects carry injective signatures");
         let cold_blif = mapped_blif(&cold_map);
@@ -137,15 +137,15 @@ fn main() {
         // Warm: the shared store has already seen this circuit, so every
         // gate resolves through the strash-id fast path.
         let shared = SharedMatchStore::for_library(&lib, 16, 1 << 14);
-        let (first, _) = mapper
-            .map_with_report_shared(&subject, opts, &shared)
+        let (first, _, _) = mapper
+            .map_with_store(&subject, opts, Some(&shared), false)
             .expect("warming map");
         assert_eq!(mapped_blif(&first), cold_blif, "{name}: shared map diverged");
         let mut warm_id_hits = 0;
         let warm_s = best_of(reps, || {
             let t = Instant::now();
-            let (m, rep) = mapper
-                .map_with_report_shared(&subject, opts, &shared)
+            let (m, rep, _) = mapper
+                .map_with_store(&subject, opts, Some(&shared), false)
                 .expect("warm map");
             std::hint::black_box(m.num_cells());
             warm_id_hits = rep.memo_id_hits;

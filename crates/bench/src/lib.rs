@@ -7,8 +7,8 @@
 //!   `44-3`-like libraries,
 //! * `figures` binary — Figure 1 (standard vs extended match) and Figure 2
 //!   (node duplication across a multi-fanout point),
-//! * `labelperf` binary — serial vs parallel wavefront labeling wall-clock
-//!   and matcher throughput, written to `BENCH_label.json`,
+//! * `labelperf` binary — serial labeling wall-clock, matcher throughput
+//!   and the zero-allocation check, written to `BENCH_label.json`,
 //! * [`harness`]-based benches — mapping/matching/FlowMap/retiming runtime
 //!   (dependency-free; the workspace builds with no network access).
 //!

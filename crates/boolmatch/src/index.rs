@@ -1,8 +1,6 @@
-use std::collections::HashMap;
-
 use dagmap_genlib::{GateId, Library};
 
-use crate::tt::{NpnTransform, TruthTable, MAX_INPUTS};
+use crate::tt::{NpnTransform, TruthTable, TtMap, MAX_INPUTS};
 
 /// A function-indexed view of a gate library, keyed two ways:
 ///
@@ -35,8 +33,8 @@ use crate::tt::{NpnTransform, TruthTable, MAX_INPUTS};
 /// ```
 #[derive(Debug, Clone)]
 pub struct LibraryIndex {
-    map: HashMap<TruthTable, Vec<(GateId, Vec<usize>)>>,
-    npn_map: HashMap<TruthTable, Vec<(GateId, NpnTransform)>>,
+    map: TtMap<Vec<(GateId, Vec<usize>)>>,
+    npn_map: TtMap<Vec<(GateId, NpnTransform)>>,
     max_inputs: usize,
     num_indexed: usize,
 }
@@ -48,8 +46,8 @@ impl LibraryIndex {
     /// them must not take the whole mapping run down.
     pub fn build(library: &Library, max_inputs: usize) -> LibraryIndex {
         let max_inputs = max_inputs.min(MAX_INPUTS);
-        let mut map: HashMap<TruthTable, Vec<(GateId, Vec<usize>)>> = HashMap::new();
-        let mut npn_map: HashMap<TruthTable, Vec<(GateId, NpnTransform)>> = HashMap::new();
+        let mut map: TtMap<Vec<(GateId, Vec<usize>)>> = TtMap::default();
+        let mut npn_map: TtMap<Vec<(GateId, NpnTransform)>> = TtMap::default();
         let mut num_indexed = 0;
         for (gi, gate) in library.gate_ids().zip(library.gates()) {
             let n = gate.num_pins();

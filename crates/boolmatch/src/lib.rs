@@ -20,8 +20,8 @@
 //!    recorded [`NpnTransform`]s into pin bindings plus polarity fixups,
 //!    realized by absorbing or borrowing inverters on the negated leaves,
 //! 4. feed the resulting matches through [`dagmap_core::MatchSource`]
-//!    into the very same FlowMap-style delay DP, parallel wavefront,
-//!    area recovery and cover construction as the structural mapper
+//!    into the very same FlowMap-style delay DP, area recovery and cover
+//!    construction as the structural mapper
 //!    ([`map_boolean`] / [`map_hybrid`] /
 //!    `dagmap_core::Mapper::map_with_source`).
 //!

@@ -2,9 +2,9 @@
 //! [`BoolSource`]/[`HybridSource`] and hand it to `dagmap_core`'s shared
 //! labeling DP, cover construction and area recovery via
 //! [`Mapper::map_with_source`]. Everything the structural mapper offers —
-//! `--threads` wavefronts (bit-identical to serial), area recovery,
-//! delay targets, observability spans, the full [`MapReport`] — works for
-//! these mappers too, because the pipeline is literally the same code.
+//! area recovery, delay targets, observability spans, the full
+//! [`MapReport`] — works for these mappers too, because the pipeline is
+//! literally the same code.
 
 use dagmap_core::{MapError, MapOptions, MapReport, MappedNetlist, Mapper};
 use dagmap_genlib::Library;
@@ -87,7 +87,7 @@ pub fn map_boolean_with_report(
     Ok((mapped, report))
 }
 
-/// The fully-configurable Boolean mapper: `options` controls threads,
+/// The fully-configurable Boolean mapper: `options` controls the
 /// objective, area recovery and delay target exactly as for
 /// [`Mapper::map`]; the structural acceleration switches are ignored
 /// (Boolean matching has its own engine). Returns the mapped netlist, the
@@ -382,53 +382,6 @@ mod tests {
             "NPN should reach strictly more cone classes: {report:?}"
         );
         assert!(report.npn_matches > 0);
-    }
-
-    #[test]
-    fn threaded_boolean_mapping_is_bit_identical_to_serial() {
-        let net = dagmap_benchgen::kogge_stone_adder(8);
-        let subject = SubjectGraph::from_network(&net).unwrap();
-        let library = Library::lib2_like();
-        let serial = map_boolean_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(1),
-        )
-        .unwrap()
-        .0;
-        let threaded = map_boolean_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(4),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(
-            dagmap_core::verilog::to_verilog(&serial),
-            dagmap_core::verilog::to_verilog(&threaded)
-        );
-        let hybrid_serial = map_hybrid_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(1),
-        )
-        .unwrap()
-        .0;
-        let hybrid_threaded = map_hybrid_with_options(
-            &subject,
-            &library,
-            4,
-            MapOptions::dag().with_num_threads(4),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(
-            dagmap_core::verilog::to_verilog(&hybrid_serial),
-            dagmap_core::verilog::to_verilog(&hybrid_threaded)
-        );
     }
 
     #[test]

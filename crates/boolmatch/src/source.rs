@@ -1,9 +1,9 @@
 //! Boolean match sources for the shared labeling DP.
 //!
 //! [`BoolSource`] plugs priority-cut NPN Boolean matching into
-//! `dagmap_core`'s [`MatchSource`] seam: the labeling DP, the parallel
-//! wavefront, area recovery and cover construction all consume it exactly
-//! as they consume the structural matcher. [`HybridSource`] emits the
+//! `dagmap_core`'s [`MatchSource`] seam: the labeling DP, area recovery
+//! and cover construction all consume it exactly as they consume the
+//! structural matcher. [`HybridSource`] emits the
 //! structural matches first and the Boolean matches after, so the hybrid
 //! candidate set is a superset of both and its delay provably bounds
 //! either alone.
@@ -25,17 +25,14 @@
 //!   fanin and cover the inverter) or by borrowing an existing inverter
 //!   on the leaf ([`BoolSource`] records the smallest-id INV per node).
 //!   The borrowed inverter must sit at a strictly lower level than the
-//!   root so the wavefront has already labeled it — this keeps parallel
-//!   labeling bit-identical to serial. Otherwise the gate is skipped.
+//!   root so the level-ordered labeling pass has already labeled it.
+//!   Otherwise the gate is skipped.
 //!
 //! Emission order is a pure function of the subject and library (ranked
 //! cuts; P entries then NPN entries, each in gate-insertion order), which
-//! is what makes `--threads N` byte-identical to serial for the Boolean
-//! and hybrid mappers too.
+//! is what makes the Boolean and hybrid mappers byte-deterministic.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 use dagmap_core::{MatchSource, SourceMatch};
 use dagmap_genlib::{GateId, Library};
@@ -43,15 +40,14 @@ use dagmap_match::{MatchConfig, MatchMode, MatchScratch, MatchStats, MatchStore,
 use dagmap_netlist::{sim, NodeId, SubjectGraph, KIND_INV, KIND_SOURCE};
 
 use crate::cuts::{self, CutSet};
-use crate::tt::{NpnTransform, TruthTable};
+use crate::tt::{NpnTransform, TruthTable, TtMap, TtSet};
 use crate::LibraryIndex;
 
 /// A [`MatchSource`] that finds gates by Boolean function, not structure.
 ///
-/// Built once per subject (the cut sets are per-node); shared read-only
-/// across labeling workers. All mutable match state lives in the
-/// per-worker [`BoolKit`]. Class counters are commutative atomics/sets, so
-/// totals are thread-count invariant.
+/// Built once per subject (the cut sets are per-node). All mutable match
+/// state lives in the [`BoolKit`]; the source itself only accumulates the
+/// class counters its getters report.
 pub struct BoolSource<'a> {
     library: &'a Library,
     index: LibraryIndex,
@@ -59,17 +55,17 @@ pub struct BoolSource<'a> {
     /// Smallest-id inverter driven by each node, for borrowing negations.
     inv_of: Vec<Option<NodeId>>,
     levels: Vec<u32>,
-    cuts_examined: AtomicUsize,
-    p_matches: AtomicUsize,
-    npn_matches: AtomicUsize,
+    cuts_examined: Cell<usize>,
+    p_matches: Cell<usize>,
+    npn_matches: Cell<usize>,
     /// P-canonical cone classes that found a gate through the plain
     /// P-class lookup (the pre-NPN engine's reach).
-    p_classes: Mutex<HashSet<TruthTable>>,
+    p_classes: RefCell<TtSet>,
     /// P-canonical cone classes that found any gate at all — the same key
     /// space as `p_classes` (cone functions modulo input permutation), so
     /// the two counts compare directly; keying by NPN class would collapse
     /// e.g. or-cones into the nand-cone class and hide NPN's extra reach.
-    npn_classes: Mutex<HashSet<TruthTable>>,
+    npn_classes: RefCell<TtSet>,
 }
 
 impl<'a> BoolSource<'a> {
@@ -99,11 +95,11 @@ impl<'a> BoolSource<'a> {
             cuts,
             inv_of,
             levels,
-            cuts_examined: AtomicUsize::new(0),
-            p_matches: AtomicUsize::new(0),
-            npn_matches: AtomicUsize::new(0),
-            p_classes: Mutex::new(HashSet::new()),
-            npn_classes: Mutex::new(HashSet::new()),
+            cuts_examined: Cell::new(0),
+            p_matches: Cell::new(0),
+            npn_matches: Cell::new(0),
+            p_classes: RefCell::new(TtSet::default()),
+            npn_classes: RefCell::new(TtSet::default()),
         }
     }
 
@@ -119,32 +115,32 @@ impl<'a> BoolSource<'a> {
 
     /// Cuts whose cone function was extracted and looked up so far.
     pub fn cuts_examined(&self) -> usize {
-        self.cuts_examined.load(Ordering::Relaxed)
+        self.cuts_examined.get()
     }
 
     /// Matches emitted through the P-class lookup so far.
     pub fn p_matches(&self) -> usize {
-        self.p_matches.load(Ordering::Relaxed)
+        self.p_matches.get()
     }
 
     /// Matches emitted through the NPN lookup (polarity fixups) so far.
     pub fn npn_matches(&self) -> usize {
-        self.npn_matches.load(Ordering::Relaxed)
+        self.npn_matches.get()
     }
 
     /// Distinct P-canonical cone classes matched by the P lookup alone.
     pub fn p_classes_matched(&self) -> usize {
-        self.p_classes.lock().expect("counter lock").len()
+        self.p_classes.borrow().len()
     }
 
     /// Distinct P-canonical cone classes matched by the full engine
     /// (P + NPN); ≥ [`BoolSource::p_classes_matched`] by construction.
     pub fn npn_classes_matched(&self) -> usize {
-        self.npn_classes.lock().expect("counter lock").len()
+        self.npn_classes.borrow().len()
     }
 }
 
-/// Per-worker scratch for [`BoolSource`]: stamped simulation values, DFS
+/// Scratch for [`BoolSource`]: stamped simulation values, DFS
 /// stack, binding buffers and canonicalization caches. No allocation in
 /// steady state once the caches are warm and the buffers reach their
 /// high-water marks.
@@ -155,15 +151,47 @@ pub struct BoolKit {
     dfs: Vec<NodeId>,
     covered: Vec<NodeId>,
     cover_out: Vec<NodeId>,
+    /// Inverter leaves an NPN binding absorbs, in pin order.
+    absorbed: Vec<NodeId>,
     leaves_red: Vec<NodeId>,
     by_pin: Vec<NodeId>,
-    canon_p: HashMap<TruthTable, (TruthTable, Vec<usize>)>,
-    canon_npn: HashMap<TruthTable, (TruthTable, NpnTransform)>,
-    /// Per-node emitted (gate, binding) pairs, for dedup across cuts.
-    seen: Vec<(GateId, Vec<NodeId>)>,
-    /// Per-node class keys, merged into the shared sets once per node.
+    canon_p: TtMap<(TruthTable, Vec<usize>)>,
+    canon_npn: TtMap<(TruthTable, NpnTransform)>,
+    seen: Seen,
+    /// Per-node class keys, merged into the source's sets once per node.
     p_hits: Vec<TruthTable>,
     npn_hits: Vec<TruthTable>,
+}
+
+/// The (gate, binding) pairs one node has emitted, for dedup across its
+/// cuts: gates with ranges into one flat pin pool, so recording a pair
+/// allocates nothing once the pool reaches its high-water mark.
+#[derive(Default)]
+struct Seen {
+    entries: Vec<(GateId, u32, u32)>,
+    pins: Vec<NodeId>,
+}
+
+impl Seen {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.pins.clear();
+    }
+
+    /// Records `(gate, binding)`; false when the node already emitted it.
+    fn insert(&mut self, gate: GateId, binding: &[NodeId]) -> bool {
+        let pins = &self.pins;
+        let dup = self
+            .entries
+            .iter()
+            .any(|&(g, s, e)| g == gate && pins[s as usize..e as usize] == *binding);
+        if !dup {
+            let start = self.pins.len() as u32;
+            self.pins.extend_from_slice(binding);
+            self.entries.push((gate, start, self.pins.len() as u32));
+        }
+        !dup
+    }
 }
 
 impl BoolKit {
@@ -176,11 +204,12 @@ impl BoolKit {
             dfs: Vec::with_capacity(64),
             covered: Vec::with_capacity(64),
             cover_out: Vec::with_capacity(64),
+            absorbed: Vec::with_capacity(8),
             leaves_red: Vec::with_capacity(8),
             by_pin: Vec::with_capacity(8),
-            canon_p: HashMap::new(),
-            canon_npn: HashMap::new(),
-            seen: Vec::with_capacity(32),
+            canon_p: TtMap::default(),
+            canon_npn: TtMap::default(),
+            seen: Seen::default(),
             p_hits: Vec::with_capacity(8),
             npn_hits: Vec::with_capacity(8),
         }
@@ -293,33 +322,35 @@ impl MatchSource for BoolSource<'_> {
                 continue;
             }
             kit.leaves_red.clear();
-            for &j in &support {
-                kit.leaves_red.push(leaves[j]);
-            }
+            kit.leaves_red.extend(
+                leaves
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| (support >> j) & 1 == 1)
+                    .map(|(_, &leaf)| leaf),
+            );
             let n = red.num_inputs();
-            let (ncanon, t_cut) = kit
+            let (ncanon, t_cut) = &*kit
                 .canon_npn
                 .entry(red)
-                .or_insert_with(|| red.npn_canonical())
-                .clone();
+                .or_insert_with(|| red.npn_canonical());
             let cut_p_before = p_emitted;
 
             // P lookup: direct bindings, no polarity work.
-            let (pcanon, perm_cut) = kit
+            let (pcanon, perm_cut) = &*kit
                 .canon_p
                 .entry(red)
-                .or_insert_with(|| red.p_canonical())
-                .clone();
+                .or_insert_with(|| red.p_canonical());
+            let pcanon = *pcanon;
             for (gate, perm_gate) in self.index.lookup(&pcanon) {
                 kit.by_pin.clear();
                 kit.by_pin.resize(n, NodeId::from_index(0));
                 for i in 0..n {
                     kit.by_pin[perm_gate[i]] = kit.leaves_red[perm_cut[i]];
                 }
-                if kit.seen.iter().any(|(g, b)| g == gate && *b == kit.by_pin) {
+                if !kit.seen.insert(*gate, &kit.by_pin) {
                     continue;
                 }
-                kit.seen.push((*gate, kit.by_pin.clone()));
                 p_emitted += 1;
                 stats.enumerated += 1;
                 f(SourceMatch {
@@ -335,15 +366,14 @@ impl MatchSource for BoolSource<'_> {
             }
 
             // NPN lookup: polarity-composing bindings.
-            'gates: for (gate, t_gate) in self.index.npn_lookup(&ncanon) {
+            'gates: for (gate, t_gate) in self.index.npn_lookup(ncanon) {
                 if t_gate.output_neg != t_cut.output_neg {
                     // The root polarity cannot be fixed up in place.
                     continue;
                 }
                 kit.by_pin.clear();
                 kit.by_pin.resize(n, NodeId::from_index(0));
-                kit.cover_out.clear();
-                kit.cover_out.extend_from_slice(&kit.covered);
+                kit.absorbed.clear();
                 for i in 0..n {
                     let leaf = kit.leaves_red[t_cut.perm[i]];
                     let negate = ((t_cut.input_neg ^ t_gate.input_neg) >> i) & 1 == 1;
@@ -351,11 +381,11 @@ impl MatchSource for BoolSource<'_> {
                         leaf
                     } else if flat.kind(leaf) == KIND_INV {
                         // Absorb the inverter: the gate re-creates it.
-                        kit.cover_out.push(leaf);
+                        kit.absorbed.push(leaf);
                         flat.fanins(leaf)[0]
                     } else if let Some(inv) = self.inv_of[leaf.index()] {
-                        // Borrow an existing inverter — only if the
-                        // wavefront has already labeled it.
+                        // Borrow an existing inverter — only if it is
+                        // labeled before the root in level order.
                         if self.levels[inv.index()] < root_level {
                             inv
                         } else {
@@ -366,15 +396,17 @@ impl MatchSource for BoolSource<'_> {
                     };
                     kit.by_pin[t_gate.perm[i]] = bound;
                 }
-                if kit.seen.iter().any(|(g, b)| g == gate && *b == kit.by_pin) {
+                if !kit.seen.insert(*gate, &kit.by_pin) {
                     continue;
                 }
-                kit.seen.push((*gate, kit.by_pin.clone()));
                 npn_emitted += 1;
                 stats.enumerated += 1;
                 if kit.npn_hits.last() != Some(&pcanon) {
                     kit.npn_hits.push(pcanon);
                 }
+                kit.cover_out.clear();
+                kit.cover_out.extend_from_slice(&kit.covered);
+                kit.cover_out.extend_from_slice(&kit.absorbed);
                 f(SourceMatch {
                     gate: *gate,
                     pattern: None,
@@ -384,21 +416,11 @@ impl MatchSource for BoolSource<'_> {
             }
         }
 
-        self.cuts_examined.fetch_add(examined, Ordering::Relaxed);
-        if p_emitted > 0 {
-            self.p_matches.fetch_add(p_emitted, Ordering::Relaxed);
-        }
-        if npn_emitted > 0 {
-            self.npn_matches.fetch_add(npn_emitted, Ordering::Relaxed);
-        }
-        if !kit.p_hits.is_empty() {
-            let mut set = self.p_classes.lock().expect("counter lock");
-            set.extend(kit.p_hits.iter().copied());
-        }
-        if !kit.npn_hits.is_empty() {
-            let mut set = self.npn_classes.lock().expect("counter lock");
-            set.extend(kit.npn_hits.iter().copied());
-        }
+        self.cuts_examined.set(self.cuts_examined.get() + examined);
+        self.p_matches.set(self.p_matches.get() + p_emitted);
+        self.npn_matches.set(self.npn_matches.get() + npn_emitted);
+        self.p_classes.borrow_mut().extend(kit.p_hits.iter().copied());
+        self.npn_classes.borrow_mut().extend(kit.npn_hits.iter().copied());
         stats
     }
 }
@@ -427,7 +449,7 @@ impl<'a> HybridSource<'a> {
     }
 }
 
-/// Per-worker scratch for [`HybridSource`].
+/// Scratch for [`HybridSource`].
 pub struct HybridKit {
     scratch: MatchScratch,
     store: MatchStore,

@@ -2,7 +2,9 @@
 //! permutation-canonical (P) and negation-permutation-negation-canonical
 //! (NPN) forms.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Largest supported input count (one 64-bit word of minterms).
 pub const MAX_INPUTS: usize = 6;
@@ -23,6 +25,39 @@ fn flip_input(bits: u64, i: usize) -> u64 {
     let s = 1u32 << i;
     ((bits & FLIP_MASKS[i]) << s) | ((bits >> s) & FLIP_MASKS[i])
 }
+
+/// Multiply-rotate hasher for [`TruthTable`] keys. Boolean matching probes
+/// its canonicalization caches and the library index several times per
+/// cut, where SipHash dominated the probe cost. The keys are cone and gate
+/// functions the program computes itself, so hash flooding does not apply.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct TtHasher(u64);
+
+impl Hasher for TtHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A map keyed by truth tables, hashed with [`TtHasher`].
+pub(crate) type TtMap<V> = HashMap<TruthTable, V, BuildHasherDefault<TtHasher>>;
+
+/// A set of truth tables, hashed with [`TtHasher`].
+pub(crate) type TtSet = HashSet<TruthTable, BuildHasherDefault<TtHasher>>;
 
 /// Mask selecting the meaningful minterm bits for `n` inputs.
 fn mask(n: usize) -> u64 {
@@ -103,26 +138,38 @@ impl TruthTable {
         self.bits == 0 || self.bits == m
     }
 
-    /// True when the output actually depends on input `i`.
+    /// True when the output actually depends on input `i`: its two
+    /// cofactors on `i` differ.
     pub fn depends_on(&self, i: usize) -> bool {
-        let n = self.num_inputs();
-        (0..(1usize << n)).any(|m| (m >> i) & 1 == 0 && self.eval(m) != self.eval(m | (1 << i)))
+        if i >= self.num_inputs() {
+            return false;
+        }
+        let s = 1u32 << i;
+        (self.bits & FLIP_MASKS[i]) != ((self.bits >> s) & FLIP_MASKS[i])
     }
 
     /// Drops inputs the function does not depend on, returning the reduced
-    /// table and the kept original input positions (ascending).
-    pub fn reduce_support(&self) -> (TruthTable, Vec<usize>) {
+    /// table and the kept original input positions as a bit mask (bit `i`
+    /// set: input `i` is kept). Kept inputs keep their relative order.
+    pub fn reduce_support(&self) -> (TruthTable, u8) {
         let n = self.num_inputs();
-        let support: Vec<usize> = (0..n).filter(|&i| self.depends_on(i)).collect();
-        if support.len() == n {
+        let support = (0..n)
+            .filter(|&i| self.depends_on(i))
+            .fold(0u8, |acc, i| acc | 1 << i);
+        let kept = support.count_ones() as usize;
+        if kept == n {
             return (*self, support);
         }
-        let reduced = TruthTable::from_fn(support.len(), |m| {
+        let reduced = TruthTable::from_fn(kept, |m| {
             let mut full = 0usize;
-            for (new_pos, &old_pos) in support.iter().enumerate() {
+            let mut rest = support;
+            let mut new_pos = 0;
+            while rest != 0 {
                 if (m >> new_pos) & 1 == 1 {
-                    full |= 1 << old_pos;
+                    full |= 1 << rest.trailing_zeros();
                 }
+                new_pos += 1;
+                rest &= rest - 1;
             }
             self.eval(full)
         });
@@ -304,7 +351,7 @@ mod tests {
         // f(a, b, c) = a & c (b is dead).
         let t = TruthTable::from_fn(3, |m| (m & 0b101) == 0b101);
         let (r, kept) = t.reduce_support();
-        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(kept, 0b101);
         assert_eq!(r.num_inputs(), 2);
         assert!(r.eval(0b11));
         assert!(!r.eval(0b01));
@@ -352,6 +399,22 @@ mod tests {
         assert!(!zero.depends_on(1));
         let one = TruthTable::from_fn(2, |_| true);
         assert!(one.is_constant());
+    }
+
+    #[test]
+    fn dependence_matches_the_minterm_definition() {
+        // Input `i` matters iff flipping it changes the value on some
+        // minterm; the word-level cofactor test must agree everywhere.
+        for n in 1..=4 {
+            for bits in 0..(1u64 << (1 << n)) {
+                let t = TruthTable::from_bits(n, bits);
+                for i in 0..n {
+                    let brute =
+                        (0..1usize << n).any(|m| t.eval(m) != t.eval(m ^ (1 << i)));
+                    assert_eq!(t.depends_on(i), brute, "n={n} bits={bits:#x} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

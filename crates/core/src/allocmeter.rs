@@ -1,5 +1,5 @@
 //! Allocation-counting probe for the zero-allocation contract of the
-//! labeling wavefronts (DESIGN.md §4.6).
+//! labeling waves (DESIGN.md §4.6).
 //!
 //! The workspace is std-only, so there is no always-on counting allocator;
 //! instead, a test or bench binary that *does* install a counting

@@ -125,7 +125,6 @@ pub(crate) fn recover<S: MatchSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::label;
     use dagmap_genlib::Library;
     use dagmap_match::MatchMode;
     use dagmap_netlist::Network;
@@ -167,7 +166,9 @@ mod tests {
     fn recovery_never_worsens_delay() {
         let subject = skewed();
         let lib = Library::lib2_like();
-        let labels = label(&subject, &lib, MatchMode::Standard, crate::Objective::Delay).unwrap();
+        let labels = crate::Mapper::new(&lib)
+            .label(&subject, MatchMode::Standard)
+            .unwrap();
         let selected = recover_fresh(&subject, &lib, &labels);
         let plain = crate::cover::construct(&subject, &lib, &labels.best).unwrap();
         let recovered = crate::cover::construct(&subject, &lib, &selected).unwrap();
@@ -179,7 +180,9 @@ mod tests {
     fn unneeded_nodes_get_no_selection() {
         let subject = skewed();
         let lib = Library::lib2_like();
-        let labels = label(&subject, &lib, MatchMode::Standard, crate::Objective::Delay).unwrap();
+        let labels = crate::Mapper::new(&lib)
+            .label(&subject, MatchMode::Standard)
+            .unwrap();
         let selected = recover_fresh(&subject, &lib, &labels);
         // Nodes absorbed into larger matches are not selected.
         let picked = selected.iter().filter(|s| s.is_some()).count();

@@ -229,15 +229,8 @@ pub fn relabel_incremental(
             arrival,
             area_flow,
             best: arena.into_best(),
-            matches_enumerated: stats.enumerated,
-            matches_pruned: stats.pruned,
-            memo_lookups: stats.memo_lookups,
-            memo_hits: stats.memo_hits,
-            memo_id_hits: stats.memo_id_hits,
-            match_words: stats.words,
-            match_candidate_bits: stats.candidate_bits,
+            stats,
             levels: flat.num_levels(),
-            threads_used: 1,
             wave_allocs,
         },
         inc,

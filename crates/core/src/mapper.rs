@@ -5,7 +5,7 @@ use dagmap_match::{MatchMode, SharedMatchStore};
 use dagmap_netlist::SubjectGraph;
 
 use crate::incremental::{relabel_incremental, RetainedLabels};
-use crate::label::{label, label_with_config, label_with_shared_store, label_with_source, Labels};
+use crate::label::{label, Labels};
 use crate::source::{MatchSource, StructuralSource};
 use crate::{area, cover, MapError, MapOptions, MappedNetlist};
 
@@ -56,9 +56,10 @@ pub struct MapReport {
     /// Set bits across the evaluated candidate words — with `match_words`
     /// this gives the kernel's batch occupancy.
     pub match_candidate_bits: usize,
-    /// Worker threads the labeling pass used (1 = serial).
+    /// Threads the labeling pass used. Labeling is serial, so this is
+    /// always 1; the field stays because reports and benches read it.
     pub label_threads: usize,
-    /// Topological levels of the subject graph (parallel wavefront count).
+    /// Topological levels of the subject graph (`label.wave` span count).
     pub levels: usize,
     /// Wall-clock seconds spent labeling.
     pub label_seconds: f64,
@@ -102,7 +103,8 @@ impl<'a> Mapper<'a> {
     /// Fails when the library cannot cover some node or the subject graph is
     /// cyclic.
     pub fn label(&self, subject: &SubjectGraph, mode: MatchMode) -> Result<Labels, MapError> {
-        label(subject, self.library, mode, crate::Objective::Delay)
+        let source = StructuralSource::new(self.library, mode, Default::default(), None);
+        label(subject, &source, crate::Objective::Delay)
     }
 
     /// Realizes a mapped netlist from externally selected matches (one per
@@ -146,91 +148,54 @@ impl<'a> Mapper<'a> {
         subject: &SubjectGraph,
         options: MapOptions,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_with_report_inner(subject, options, None)
+        self.map_with_store(subject, options, None, false)
+            .map(|(mapped, report, _)| (mapped, report))
     }
 
-    /// Like [`Mapper::map_with_report`], labeling through a cross-run
-    /// [`SharedMatchStore`] so repeated cone shapes are enumerated once per
-    /// library rather than once per mapping run.
+    /// Like [`Mapper::map_with_report`], with the two hooks the `dagmap
+    /// serve` daemon needs:
     ///
-    /// The labeling pass is always serial on this path — the intended caller
-    /// (the `dagmap serve` daemon) gets its parallelism across requests, not
-    /// within one. Area recovery keeps a run-local store. Results are
-    /// bit-identical to [`Mapper::map_with_report`] because shared-memo
-    /// replay preserves enumeration order exactly.
+    /// * `shared` labels through a cross-run [`SharedMatchStore`], so
+    ///   repeated cone shapes are enumerated once per library rather than
+    ///   once per mapping run. Area recovery keeps a run-local store.
+    ///   Shared-memo replay preserves enumeration order exactly, so the
+    ///   result is bit-identical to a run without it.
+    /// * `retain` also snapshots the labels as a [`RetainedLabels`] for
+    ///   [`Mapper::map_incremental`]. The snapshot is `None` when `retain`
+    ///   is off or the subject's signature map is not injective (duplicate
+    ///   structure defeats signature addressing, which
+    ///   [`dagmap_netlist::strash_network`]-style strashed inputs never
+    ///   do).
     ///
     /// # Errors
     ///
     /// As for [`Mapper::map`].
-    pub fn map_with_report_shared(
-        &self,
-        subject: &SubjectGraph,
-        options: MapOptions,
-        shared: &SharedMatchStore,
-    ) -> Result<(MappedNetlist, MapReport), MapError> {
-        self.map_with_report_inner(subject, options, Some(shared))
-    }
-
-    fn map_with_report_inner(
+    pub fn map_with_store(
         &self,
         subject: &SubjectGraph,
         options: MapOptions,
         shared: Option<&SharedMatchStore>,
-    ) -> Result<(MappedNetlist, MapReport), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
-        }
-        let mut map_span = dagmap_obs::span("map");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        // The labeling entry points open their own "label" span (with the
-        // wave spans nested under it), so only the wall-clock is taken here.
-        let labels = match shared {
-            Some(store) => label_with_shared_store(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.match_config(),
-                store,
-            )?,
-            None => label_with_config(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.num_threads,
-                options.match_config(),
-            )?,
-        };
-        let label_seconds = t0.elapsed().as_secs_f64();
-        // Area recovery keeps a run-local store even on the shared path.
-        let source = StructuralSource::new(
-            self.library,
-            options.match_mode,
-            options.match_config(),
-            None,
-        );
-        self.finish_map(
+        retain: bool,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
+        self.check_mappable()?;
+        let config = options.match_config();
+        let labeling = StructuralSource::new(self.library, options.match_mode, config, shared);
+        let recovery = StructuralSource::new(self.library, options.match_mode, config, None);
+        self.map_via(
             subject,
             options,
-            &source,
+            &labeling,
+            &recovery,
             options.algorithm_name(),
-            labels,
-            label_seconds,
-            0,
+            retain,
         )
     }
 
     /// Maps `subject` with matches drawn from an arbitrary [`MatchSource`]
     /// — the entry point `dagmap-boolmatch` feeds its priority-cut NPN
-    /// matcher through. Labeling (including `--threads` wavefronts), cover
-    /// construction, area recovery and the report all run exactly as for
-    /// the structural source; `algorithm` names the run in the report.
+    /// matcher through. Labeling, cover construction, area recovery and
+    /// the report all run exactly as for the structural source;
+    /// `algorithm` names the run in the report.
     ///
     /// # Errors
     ///
@@ -244,22 +209,55 @@ impl<'a> Mapper<'a> {
         source: &S,
         algorithm: &'static str,
     ) -> Result<(MappedNetlist, MapReport), MapError> {
+        self.map_via(subject, options, source, source, algorithm, false)
+            .map(|(mapped, report, _)| (mapped, report))
+    }
+
+    fn check_mappable(&self) -> Result<(), MapError> {
+        if self.library.is_delay_mappable() {
+            Ok(())
+        } else {
+            Err(MapError::UnmappableLibrary {
+                library: self.library.name().to_owned(),
+            })
+        }
+    }
+
+    /// The one mapping body: labels through `labeling`, then hands off to
+    /// [`Mapper::finish_map`] with `recovery` as the area-recovery source.
+    fn map_via<S: MatchSource>(
+        &self,
+        subject: &SubjectGraph,
+        options: MapOptions,
+        labeling: &S,
+        recovery: &S,
+        algorithm: &'static str,
+        retain: bool,
+    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
         let mut map_span = dagmap_obs::span("map");
         if map_span.is_recording() {
             map_span.set_u64("nodes", subject.network().num_nodes() as u64);
         }
         let t0 = Instant::now();
-        let labels = label_with_source(subject, source, options.objective, options.num_threads)?;
+        // `label` opens its own "label" span (with the wave spans nested
+        // under it), so only the wall-clock is taken here.
+        let labels = label(subject, labeling, options.objective)?;
         let label_seconds = t0.elapsed().as_secs_f64();
-        self.finish_map(
+        let snapshot = if retain {
+            RetainedLabels::from_labels(subject, &labels)
+        } else {
+            None
+        };
+        let (mapped, report) = self.finish_map(
             subject,
             options,
-            source,
+            recovery,
             algorithm,
             labels,
             label_seconds,
             0,
-        )
+        )?;
+        Ok((mapped, report, snapshot))
     }
 
     /// Cover construction, area recovery and report assembly shared by the
@@ -333,18 +331,18 @@ impl<'a> Mapper<'a> {
             area: mapped.area(),
             num_cells: mapped.num_cells(),
             duplicated_subject_nodes: mapped.duplicated_subject_nodes(),
-            matches_enumerated: labels.matches_enumerated,
-            matches_pruned: labels.matches_pruned,
-            memo_lookups: labels.memo_lookups,
-            memo_hits: labels.memo_hits,
-            memo_id_hits: labels.memo_id_hits,
+            matches_enumerated: labels.stats.enumerated,
+            matches_pruned: labels.stats.pruned,
+            memo_lookups: labels.stats.memo_lookups,
+            memo_hits: labels.stats.memo_hits,
+            memo_id_hits: labels.stats.memo_id_hits,
             strash_raw_nodes: strash.raw,
             strash_unique_nodes: strash.unique,
             strash_dedup_hits: strash.dedup_hits,
             labels_reused,
-            match_words: labels.match_words,
-            match_candidate_bits: labels.match_candidate_bits,
-            label_threads: labels.threads_used,
+            match_words: labels.stats.words,
+            match_candidate_bits: labels.stats.candidate_bits,
+            label_threads: 1,
             levels: labels.levels,
             label_seconds,
             cover_seconds,
@@ -352,70 +350,6 @@ impl<'a> Mapper<'a> {
             decompose_seconds: 0.0,
         };
         Ok((mapped, report))
-    }
-
-    /// Like [`Mapper::map_with_report`], additionally snapshotting the
-    /// labeling run as a [`RetainedLabels`] for later incremental
-    /// re-mapping. The snapshot is `None` when the subject's signature map
-    /// is not injective (duplicate structure defeats signature addressing,
-    /// which [`dagmap_netlist::strash_network`]-style strashed inputs never
-    /// do).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mapper::map`].
-    pub fn map_with_report_retaining(
-        &self,
-        subject: &SubjectGraph,
-        options: MapOptions,
-        shared: Option<&SharedMatchStore>,
-    ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
-        }
-        let mut map_span = dagmap_obs::span("map");
-        if map_span.is_recording() {
-            map_span.set_u64("nodes", subject.network().num_nodes() as u64);
-        }
-        let t0 = Instant::now();
-        let labels = match shared {
-            Some(store) => label_with_shared_store(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.match_config(),
-                store,
-            )?,
-            None => label_with_config(
-                subject,
-                self.library,
-                options.match_mode,
-                options.objective,
-                options.num_threads,
-                options.match_config(),
-            )?,
-        };
-        let label_seconds = t0.elapsed().as_secs_f64();
-        let snapshot = RetainedLabels::from_labels(subject, &labels);
-        let source = StructuralSource::new(
-            self.library,
-            options.match_mode,
-            options.match_config(),
-            None,
-        );
-        let (mapped, report) = self.finish_map(
-            subject,
-            options,
-            &source,
-            options.algorithm_name(),
-            labels,
-            label_seconds,
-            0,
-        )?;
-        Ok((mapped, report, snapshot))
     }
 
     /// Incrementally re-maps an edited design: labels of nodes untouched by
@@ -434,11 +368,7 @@ impl<'a> Mapper<'a> {
         retained: &RetainedLabels,
         shared: Option<&SharedMatchStore>,
     ) -> Result<(MappedNetlist, MapReport, Option<RetainedLabels>), MapError> {
-        if !self.library.is_delay_mappable() {
-            return Err(MapError::UnmappableLibrary {
-                library: self.library.name().to_owned(),
-            });
-        }
+        self.check_mappable()?;
         let mut map_span = dagmap_obs::span("map.incremental");
         if map_span.is_recording() {
             map_span.set_u64("nodes", subject.network().num_nodes() as u64);
@@ -587,8 +517,8 @@ mod tests {
         // Cold run populates the store; warm run replays it. Both must equal
         // the local-store result exactly.
         for _ in 0..2 {
-            let (mapped, rep) = mapper
-                .map_with_report_shared(&subject, opts, &shared)
+            let (mapped, rep, _) = mapper
+                .map_with_store(&subject, opts, Some(&shared), false)
                 .unwrap();
             assert_eq!(rep.delay, local_rep.delay);
             assert_eq!(rep.area, local_rep.area);

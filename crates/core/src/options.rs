@@ -44,11 +44,6 @@ pub struct MapOptions {
     /// sweeping this traces the delay/area Pareto frontier of Section 6.
     /// Implies [`MapOptions::area_recovery`].
     pub delay_target: Option<f64>,
-    /// Worker threads for the wavefront labeling pass. `None` (the default)
-    /// uses [`std::thread::available_parallelism`], falling back to serial
-    /// on small circuits; `Some(1)` forces the exact serial pass; `Some(n)`
-    /// forces `n` workers. All settings produce bit-identical results.
-    pub num_threads: Option<usize>,
     /// Stage-1 match acceleration: consult the library's per-shape-class
     /// fingerprint buckets when picking candidate patterns. On by default;
     /// provably result-identical either way (it only skips patterns the
@@ -78,7 +73,6 @@ impl MapOptions {
             objective: Objective::Delay,
             area_recovery: false,
             delay_target: None,
-            num_threads: None,
             use_match_index: true,
             match_memo: MemoPolicy::Auto,
             strash_ids: true,
@@ -93,7 +87,6 @@ impl MapOptions {
             objective: Objective::Delay,
             area_recovery: false,
             delay_target: None,
-            num_threads: None,
             use_match_index: true,
             match_memo: MemoPolicy::Auto,
             strash_ids: true,
@@ -108,7 +101,6 @@ impl MapOptions {
             objective: Objective::Delay,
             area_recovery: false,
             delay_target: None,
-            num_threads: None,
             use_match_index: true,
             match_memo: MemoPolicy::Auto,
             strash_ids: true,
@@ -122,7 +114,6 @@ impl MapOptions {
             objective: Objective::Area,
             area_recovery: false,
             delay_target: None,
-            num_threads: None,
             use_match_index: true,
             match_memo: MemoPolicy::Auto,
             strash_ids: true,
@@ -137,7 +128,6 @@ impl MapOptions {
             objective: Objective::Area,
             area_recovery: false,
             delay_target: None,
-            num_threads: None,
             use_match_index: true,
             match_memo: MemoPolicy::Auto,
             strash_ids: true,
@@ -155,14 +145,6 @@ impl MapOptions {
     pub fn with_delay_target(mut self, target: f64) -> MapOptions {
         self.area_recovery = true;
         self.delay_target = Some(target);
-        self
-    }
-
-    /// Pins the wavefront labeling pass to `n` worker threads (`1` forces
-    /// the serial pass). Results are identical either way; this only trades
-    /// wall clock.
-    pub fn with_num_threads(mut self, n: usize) -> MapOptions {
-        self.num_threads = Some(n.max(1));
         self
     }
 
@@ -245,12 +227,5 @@ mod tests {
         assert!(forced.use_match_index && forced.match_memo == MemoPolicy::On);
         let mixed = MapOptions::tree().with_match_memo(false);
         assert!(mixed.use_match_index && mixed.match_memo == MemoPolicy::Off);
-    }
-
-    #[test]
-    fn thread_count_defaults_to_auto() {
-        assert_eq!(MapOptions::dag().num_threads, None);
-        assert_eq!(MapOptions::dag().with_num_threads(4).num_threads, Some(4));
-        assert_eq!(MapOptions::dag().with_num_threads(0).num_threads, Some(1));
     }
 }

@@ -6,16 +6,14 @@
 //! exactly that contract, so the structural pattern matcher of
 //! `dagmap-match` and the Boolean (priority-cut / NPN) matcher of
 //! `dagmap-boolmatch` drive the *same* labeling, cover-construction and
-//! area-recovery code: `--threads`, the wavefront engine, match counters,
-//! obs spans and `MapReport` all come for free with an implementation.
+//! area-recovery code: match counters, obs spans and `MapReport` all come
+//! for free with an implementation.
 //!
-//! A source is shared read-only across worker threads (`Sync`); every
-//! mutable per-thread state — scratch arenas, memo stores, canonicalization
-//! caches — lives in the source's [`MatchSource::Kit`], created once per
-//! worker by [`MatchSource::make_kit`]. This mirrors how the structural
-//! matcher already splits `Matcher` (shared) from `MatchScratch` +
-//! `MatchStore` (per worker), which is what keeps the parallel wavefront
-//! lock-free on the hot path.
+//! A source is read-only during a pass; its mutable state — scratch
+//! arenas, memo stores, canonicalization caches — lives in the source's
+//! [`MatchSource::Kit`], created by [`MatchSource::make_kit`]. This mirrors
+//! how the structural matcher splits `Matcher` (the library view) from
+//! `MatchScratch` + `MatchStore` (the run's working memory).
 
 use dagmap_genlib::{GateId, Library, PatternId};
 use dagmap_match::{
@@ -24,7 +22,7 @@ use dagmap_match::{
 };
 use dagmap_netlist::{NodeId, SubjectGraph};
 
-/// One candidate match, borrowed from the source's per-thread kit. The
+/// One candidate match, borrowed from the source's kit. The
 /// labeling DP copies the slices only when the candidate beats the
 /// incumbent, so reporting a match is allocation-free.
 #[derive(Debug, Clone, Copy)]
@@ -44,12 +42,11 @@ pub struct SourceMatch<'a> {
 /// A supplier of candidate matches for the shared labeling DP.
 ///
 /// Implementations must be deterministic: for a fixed subject and node, the
-/// emission *sequence* must not depend on thread count or timing, because
-/// the DP's tie-breaking keeps the first optimum seen and the wavefront
-/// engine's bit-identity guarantee rests on every node seeing the serial
-/// emission order.
-pub trait MatchSource: Sync {
-    /// Per-worker mutable state (scratch arenas, memo stores, caches).
+/// emission *sequence* must be a function of the subject, the library and
+/// the node alone — not of memo state or earlier calls — because the DP's
+/// tie-breaking keeps the first optimum seen.
+pub trait MatchSource {
+    /// Mutable state of one pass (scratch arenas, memo stores, caches).
     type Kit;
 
     /// The library matches instantiate gates from.
@@ -59,15 +56,15 @@ pub trait MatchSource: Sync {
     /// and, for structural sources, the pattern search itself.
     fn mode(&self) -> MatchMode;
 
-    /// Builds one worker's kit, sized for `subject`.
+    /// Builds a kit sized for `subject`.
     fn make_kit(&self, subject: &SubjectGraph) -> Self::Kit;
 
     /// Enumerates every candidate match rooted at `node` into `f`.
     ///
     /// All of `node`'s strict fanins are labeled when this is called; the
     /// source must only report matches whose leaves lie strictly below
-    /// `node`'s topological level (fanin-cone members), which is what makes
-    /// whole levels independently computable.
+    /// `node`'s topological level (fanin-cone members), so every leaf is
+    /// labeled before `node` in level order.
     fn for_each_match(
         &self,
         subject: &SubjectGraph,
@@ -78,21 +75,27 @@ pub trait MatchSource: Sync {
 }
 
 /// The structural pattern matcher as a [`MatchSource`] — the default
-/// source behind [`crate::Mapper::map`] and all existing entry points.
-pub(crate) struct StructuralSource<'a> {
+/// source behind [`crate::Mapper::map`].
+pub struct StructuralSource<'a> {
     matcher: Matcher<'a>,
     mode: MatchMode,
     /// Cross-request memo (the serve daemon); `None` memoizes per kit.
     shared: Option<&'a SharedMatchStore>,
 }
 
-pub(crate) struct StructuralKit {
+/// Working memory of [`StructuralSource`]: match scratch plus a run-local
+/// memo store (unused when the source memoizes through a shared store).
+pub struct StructuralKit {
     scratch: MatchScratch,
     store: MatchStore,
 }
 
 impl<'a> StructuralSource<'a> {
-    pub(crate) fn new(
+    /// A source matching `library`'s patterns under `mode`, accelerated per
+    /// `config`. With `shared`, memoized cone classes go to that
+    /// cross-request store (the serve daemon's); without, to a store local
+    /// to each kit. Every choice emits the same match sequence.
+    pub fn new(
         library: &'a Library,
         mode: MatchMode,
         config: MatchConfig,
@@ -122,9 +125,7 @@ impl MatchSource for StructuralSource<'_> {
         scratch.prepare(self.matcher.library(), subject.flat().num_nodes());
         StructuralKit {
             scratch,
-            // Per-kit store: with multiple workers each rediscovers cone
-            // classes once, which costs a few extra cold enumerations but
-            // keeps the hot path lock-free. Unused when `shared` is set.
+            // Run-local store; unused when `shared` is set.
             store: MatchStore::for_library(self.matcher.library()),
         }
     }

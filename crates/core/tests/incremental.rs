@@ -51,7 +51,7 @@ fn incremental_remap_is_byte_identical_and_reuses_labels() {
     ] {
         let subject = SubjectGraph::from_network(&net).expect("decomposes");
         let (_, cold_rep, retained) = mapper
-            .map_with_report_retaining(&subject, opts, None)
+            .map_with_store(&subject, opts, None, true)
             .expect("cold map");
         let retained = retained.expect("benchgen subjects have injective sigs");
         assert!(cold_rep.labels_reused == 0, "{name}: cold run reuses nothing");
@@ -103,7 +103,7 @@ fn incremental_remap_matches_through_a_shared_store() {
     let shared = SharedMatchStore::for_library(&lib, 4, 1 << 12);
     let subject = SubjectGraph::from_network(&net).expect("decomposes");
     let (_, _, retained) = mapper
-        .map_with_report_retaining(&subject, opts, Some(&shared))
+        .map_with_store(&subject, opts, Some(&shared), true)
         .expect("cold map");
     let retained = retained.expect("injective");
 
@@ -129,7 +129,7 @@ fn retained_labels_refuse_non_injective_subjects() {
     let lib = Library::minimal();
     let mapper = Mapper::new(&lib);
     let (_, _, retained) = mapper
-        .map_with_report_retaining(&subject, MapOptions::dag(), None)
+        .map_with_store(&subject, MapOptions::dag(), None, true)
         .expect("map");
     let retained = retained.expect("strashed subjects are injective");
     assert_eq!(retained.num_nodes(), subject.flat().num_nodes());

@@ -2,13 +2,24 @@
 //! the cone-class memo may only change how much work the matcher performs,
 //! never what it returns. Labels (arrivals, area flows, selected matches),
 //! mapped netlists and critical delays must agree bit for bit across every
-//! acceleration configuration, library, match semantics and thread count.
+//! acceleration configuration, library and match semantics.
 
 use dagmap_benchgen::random_network;
-use dagmap_core::{label_with_config, MapOptions, Mapper, MatchMode, Objective};
+use dagmap_core::{label, Labels, MapOptions, Mapper, MatchMode, Objective, StructuralSource};
 use dagmap_genlib::Library;
 use dagmap_match::{MatchConfig, MemoPolicy};
 use dagmap_netlist::SubjectGraph;
+
+fn label_config(
+    subject: &SubjectGraph,
+    lib: &Library,
+    mode: MatchMode,
+    objective: Objective,
+    config: MatchConfig,
+) -> Labels {
+    let source = StructuralSource::new(lib, mode, config, None);
+    label(subject, &source, objective).expect("labels")
+}
 
 const MODES: [MatchMode; 3] = [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended];
 
@@ -66,51 +77,39 @@ fn builtin_libraries() -> [Library; 4] {
 }
 
 #[test]
-fn labels_are_bit_identical_across_configs_libraries_modes_and_threads() {
-    // Single-CPU boxes would otherwise fall back to serial labeling; the
-    // point here is to exercise the parallel merge path regardless.
-    std::env::set_var("DAGMAP_LABEL_FORCE_PARALLEL", "1");
+fn labels_are_bit_identical_across_configs_libraries_and_modes() {
     let net = dagmap_benchgen::ripple_adder(6);
     let subject = SubjectGraph::from_network(&net).expect("adder subject");
     for lib in &builtin_libraries() {
         for mode in MODES {
-            let reference = label_with_config(
+            let reference = label_config(
                 &subject,
                 lib,
                 mode,
                 Objective::Delay,
-                Some(1),
                 MatchConfig::baseline(),
-            )
-            .expect("baseline labels");
+            );
             for config in configs() {
-                // Serial is the semantic reference; the multi-worker runs
-                // additionally exercise the per-worker lanes and the
-                // deterministic merge of the wavefront engine.
-                for nt in [1usize, 2, 4] {
-                    let l =
-                        label_with_config(&subject, lib, mode, Objective::Delay, Some(nt), config)
-                            .expect("accelerated labels");
-                    let tag = format!("lib={} mode={mode:?} config={config:?} nt={nt}", lib.name());
-                    assert_eq!(l.arrival, reference.arrival, "{tag}");
-                    assert_eq!(l.area_flow, reference.area_flow, "{tag}");
-                    assert_eq!(l.best, reference.best, "{tag}");
-                    assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
-                    assert_eq!(
-                        l.critical_delay(&subject).to_bits(),
-                        reference.critical_delay(&subject).to_bits(),
-                        "{tag}"
-                    );
-                    // The memo never changes the pruned count of the config
-                    // it accelerates, and the index can only add to it.
-                    if config.index {
-                        assert!(l.matches_pruned >= reference.matches_pruned, "{tag}");
-                    } else {
-                        assert_eq!(l.matches_pruned, reference.matches_pruned, "{tag}");
-                    }
-                    if config.memo == MemoPolicy::On && nt == 1 {
-                        assert!(l.memo_lookups > 0 && l.memo_hits > 0, "{tag}");
-                    }
+                let l = label_config(&subject, lib, mode, Objective::Delay, config);
+                let tag = format!("lib={} mode={mode:?} config={config:?}", lib.name());
+                assert_eq!(l.arrival, reference.arrival, "{tag}");
+                assert_eq!(l.area_flow, reference.area_flow, "{tag}");
+                assert_eq!(l.best, reference.best, "{tag}");
+                assert_eq!(l.stats.enumerated, reference.stats.enumerated, "{tag}");
+                assert_eq!(
+                    l.critical_delay(&subject).to_bits(),
+                    reference.critical_delay(&subject).to_bits(),
+                    "{tag}"
+                );
+                // The memo never changes the pruned count of the config
+                // it accelerates, and the index can only add to it.
+                if config.index {
+                    assert!(l.stats.pruned >= reference.stats.pruned, "{tag}");
+                } else {
+                    assert_eq!(l.stats.pruned, reference.stats.pruned, "{tag}");
+                }
+                if config.memo == MemoPolicy::On {
+                    assert!(l.stats.memo_lookups > 0 && l.stats.memo_hits > 0, "{tag}");
                 }
             }
         }
@@ -159,25 +158,17 @@ fn seeded_random_dags_label_identically_under_every_acceleration() {
         let lib = &libs[seed as usize % libs.len()];
         let mode = MODES[seed as usize % MODES.len()];
         for objective in [Objective::Delay, Objective::Area] {
-            let reference = label_with_config(
-                &subject,
-                lib,
-                mode,
-                objective,
-                Some(1),
-                MatchConfig::baseline(),
-            )
-            .expect("baseline labels");
+            let reference =
+                label_config(&subject, lib, mode, objective, MatchConfig::baseline());
             for config in configs() {
-                let l = label_with_config(&subject, lib, mode, objective, Some(1), config)
-                    .expect("accelerated labels");
+                let l = label_config(&subject, lib, mode, objective, config);
                 let tag = format!(
                     "seed={seed} lib={} mode={mode:?} obj={objective:?} config={config:?}",
                     lib.name()
                 );
                 assert_eq!(l.arrival, reference.arrival, "{tag}");
                 assert_eq!(l.best, reference.best, "{tag}");
-                assert_eq!(l.matches_enumerated, reference.matches_enumerated, "{tag}");
+                assert_eq!(l.stats.enumerated, reference.stats.enumerated, "{tag}");
             }
         }
     }

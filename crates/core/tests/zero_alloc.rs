@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dagmap_core::{label_with_config, label_with_shared_store, Objective};
+use dagmap_core::{label, Objective, StructuralSource};
 use dagmap_genlib::Library;
 use dagmap_match::{MatchConfig, MatchMode, MemoPolicy, SharedMatchStore};
 use dagmap_netlist::SubjectGraph;
@@ -63,19 +63,13 @@ fn steady_state_waves_allocate_nothing() {
         let subject = SubjectGraph::from_network(net).expect("decomposes");
         for lib in &libraries {
             for mode in [MatchMode::Standard, MatchMode::Exact, MatchMode::Extended] {
-                let labels = label_with_config(
-                    &subject,
-                    lib,
-                    mode,
-                    Objective::Delay,
-                    Some(1),
-                    MatchConfig {
-                        index: true,
-                        memo: MemoPolicy::Off,
-                        strash_ids: false,
-                    },
-                )
-                .expect("labels");
+                let config = MatchConfig {
+                    index: true,
+                    memo: MemoPolicy::Off,
+                    strash_ids: false,
+                };
+                let source = StructuralSource::new(lib, mode, config, None);
+                let labels = label(&subject, &source, Objective::Delay).expect("labels");
                 assert_eq!(
                     labels.wave_allocs.len(),
                     subject.flat().num_levels(),
@@ -108,28 +102,13 @@ fn steady_state_waves_allocate_nothing() {
         let subject = SubjectGraph::from_network(net).expect("decomposes");
         let lib = Library::lib_44_3_like();
         let shared = SharedMatchStore::for_library(&lib, 16, 1 << 14);
-        let cold = label_with_shared_store(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            warm_config,
-            &shared,
-        )
-        .expect("cold labels");
-        let warm = label_with_shared_store(
-            &subject,
-            &lib,
-            MatchMode::Standard,
-            Objective::Delay,
-            warm_config,
-            &shared,
-        )
-        .expect("warm labels");
+        let source = StructuralSource::new(&lib, MatchMode::Standard, warm_config, Some(&shared));
+        let cold = label(&subject, &source, Objective::Delay).expect("cold labels");
+        let warm = label(&subject, &source, Objective::Delay).expect("warm labels");
         assert_eq!(warm.arrival, cold.arrival, "{name}: warm run is bit-identical");
         assert_eq!(warm.best, cold.best, "{name}: warm run is bit-identical");
         assert!(
-            warm.memo_id_hits > 0,
+            warm.stats.memo_id_hits > 0,
             "{name}: warm run resolves through strash ids"
         );
         let total: usize = warm.wave_allocs.iter().sum();

@@ -7,7 +7,7 @@ use dagmap_core::{verify, MapOptions, Mapper};
 use dagmap_genlib::Library;
 use dagmap_match::MatchMode;
 use dagmap_netlist::{blif, Network, SubjectGraph};
-use dagmap_retime::min_cycle_period_with;
+use dagmap_retime::min_cycle_period;
 use dagmap_supergate::{extend_library, SupergateOptions};
 
 use crate::FuzzError;
@@ -29,7 +29,7 @@ fn leq(a: f64, b: f64) -> bool {
 pub enum InvariantKind {
     /// Functional equivalence or timing consistency failed (`core::verify`).
     Functional,
-    /// Results differ across thread counts or acceleration settings.
+    /// Results differ across acceleration settings.
     BitIdentity,
     /// A delay ordering the paper guarantees was inverted.
     Optimality,
@@ -82,22 +82,18 @@ pub struct LibUnderTest {
 /// The differential axes swept per case and library.
 #[derive(Debug, Clone)]
 pub struct Matrix {
-    /// Thread counts differenced against the serial reference (any entry
-    /// `> 1` exercises the wavefront engine's per-worker state).
-    pub thread_counts: Vec<usize>,
-    /// Cross-check the sequential mapper's minimum clock period across
-    /// thread counts on sequential cases.
+    /// On sequential cases, check that the sequential mapper's minimum
+    /// clock period never exceeds the combinational DAG optimum.
     pub check_retime: bool,
     /// Sweep the boolean and hybrid matchers alongside the structural one:
-    /// functional equivalence, thread-count bit-identity, and the provable
-    /// `hybrid <= structural` / `hybrid <= boolean` delay orderings.
+    /// functional equivalence and the provable `hybrid <= structural` /
+    /// `hybrid <= boolean` delay orderings.
     pub check_boolean: bool,
 }
 
 impl Default for Matrix {
     fn default() -> Self {
         Matrix {
-            thread_counts: vec![1, 2, 4],
             check_retime: true,
             check_boolean: true,
         }
@@ -204,8 +200,8 @@ pub fn check_network(
     let mut dag_delays: Vec<f64> = vec![f64::NAN; libs.len()];
     for (li, lut) in libs.iter().enumerate() {
         let mapper = Mapper::new(&lut.library);
-        let serial = MapOptions::dag().with_num_threads(1);
-        let baseline = mapper.map(&subject, serial)?;
+        let dag = MapOptions::dag();
+        let baseline = mapper.map(&subject, dag)?;
         let base_blif = blif::to_string(&baseline.to_network()?)?;
         let base_delay = baseline.delay();
         dag_delays[li] = base_delay;
@@ -216,40 +212,31 @@ pub fn check_network(
             outcome.violations.push(CaseViolation {
                 kind: InvariantKind::Functional,
                 library: li,
-                config: "dag serial".into(),
+                config: "dag".into(),
                 detail: v.to_string(),
             });
         }
 
-        // (b) Bit-identity across acceleration settings (serial) and across
-        // thread counts (full acceleration).
-        let mut variants: Vec<(String, MapOptions)> = vec![
-            ("no-accel".into(), serial.with_match_acceleration(false)),
-            ("index-only".into(), serial.with_match_memo(false)),
+        // (b) Bit-identity across acceleration settings.
+        let variants: Vec<(String, MapOptions)> = vec![
+            ("no-accel".into(), dag.with_match_acceleration(false)),
+            ("index-only".into(), dag.with_match_memo(false)),
             // Memo forced on: the default policy is cost-gated per library,
             // so without the override this variant would silently collapse
             // into no-accel on cheap libraries.
             (
                 "memo-only".into(),
-                serial.with_match_index(false).with_match_memo(true),
+                dag.with_match_index(false).with_match_memo(true),
             ),
             // The strash-id fast path on and off over a forced memo: both
             // must replay the same classes the cone keys resolve, so the
             // mapped netlist may not move by a byte.
-            ("memo+strash-ids".into(), serial.with_match_memo(true)),
+            ("memo+strash-ids".into(), dag.with_match_memo(true)),
             (
                 "no-strash-ids".into(),
-                serial.with_match_memo(true).with_strash_ids(false),
+                dag.with_match_memo(true).with_strash_ids(false),
             ),
         ];
-        for &nt in &matrix.thread_counts {
-            if nt > 1 {
-                variants.push((
-                    format!("threads={nt}"),
-                    MapOptions::dag().with_num_threads(nt),
-                ));
-            }
-        }
         for (tag, opts) in variants {
             let (delay, text) = map_to_blif(&mapper, &subject, opts)?;
             outcome.maps += 1;
@@ -259,7 +246,7 @@ pub fn check_network(
                     library: li,
                     config: format!("dag {tag}"),
                     detail: format!(
-                        "mapped netlist diverged from the serial full-accel reference \
+                        "mapped netlist diverged from the full-accel reference \
                          (delay {delay} vs {base_delay})"
                     ),
                 });
@@ -267,13 +254,13 @@ pub fn check_network(
         }
 
         // (c) Optimality orderings.
-        let tree = mapper.map(&subject, MapOptions::tree().with_num_threads(1))?;
+        let tree = mapper.map(&subject, MapOptions::tree())?;
         outcome.maps += 1;
         for v in verify::report(&tree, &subject, sim_seed)? {
             outcome.violations.push(CaseViolation {
                 kind: InvariantKind::Functional,
                 library: li,
-                config: "tree serial".into(),
+                config: "tree".into(),
                 detail: v.to_string(),
             });
         }
@@ -288,7 +275,7 @@ pub fn check_network(
                 ),
             });
         }
-        let extended = mapper.map(&subject, MapOptions::dag_extended().with_num_threads(1))?;
+        let extended = mapper.map(&subject, MapOptions::dag_extended())?;
         outcome.maps += 1;
         if !leq(extended.delay(), base_delay) {
             outcome.violations.push(CaseViolation {
@@ -301,16 +288,13 @@ pub fn check_network(
                 ),
             });
         }
-        let recovered = mapper.map(
-            &subject,
-            MapOptions::dag().with_area_recovery().with_num_threads(1),
-        )?;
+        let recovered = mapper.map(&subject, MapOptions::dag().with_area_recovery())?;
         outcome.maps += 1;
         for v in verify::report(&recovered, &subject, sim_seed)? {
             outcome.violations.push(CaseViolation {
                 kind: InvariantKind::Functional,
                 library: li,
-                config: "dag+recover serial".into(),
+                config: "dag+recover".into(),
                 detail: v.to_string(),
             });
         }
@@ -354,35 +338,33 @@ pub fn check_network(
 
         // (d) The boolean/hybrid axis rides the same labeling DP through the
         // `MatchSource` seam, so it owes the same invariants: functional
-        // equivalence, bit-identity across thread counts, and the provable
-        // orderings. Hybrid emits a superset of the structural candidates,
-        // so `hybrid <= dag` and `hybrid <= boolean` must hold; boolean
+        // equivalence and the provable orderings. Hybrid emits a superset of
+        // the structural candidates, so `hybrid <= dag` and `hybrid <=
+        // boolean` must hold; boolean
         // alone carries no such guarantee against structural — priority
         // cuts prune, so a pruned cut can cost delay legitimately.
         // Libraries the boolean fallback decomposition cannot cover are
         // skipped (none of the built-ins are).
         if matrix.check_boolean && check_coverable(&lut.library, BOOLEAN_K).is_ok() {
             let (bool_ref, _, _) =
-                map_boolean_with_options(&subject, &lut.library, BOOLEAN_K, serial)?;
-            let bool_blif = blif::to_string(&bool_ref.to_network()?)?;
+                map_boolean_with_options(&subject, &lut.library, BOOLEAN_K, dag)?;
             outcome.maps += 1;
             for v in verify::report(&bool_ref, &subject, sim_seed)? {
                 outcome.violations.push(CaseViolation {
                     kind: InvariantKind::Functional,
                     library: li,
-                    config: "boolean serial".into(),
+                    config: "boolean".into(),
                     detail: v.to_string(),
                 });
             }
             let (hyb_ref, _, _) =
-                map_hybrid_with_options(&subject, &lut.library, BOOLEAN_K, serial)?;
-            let hyb_blif = blif::to_string(&hyb_ref.to_network()?)?;
+                map_hybrid_with_options(&subject, &lut.library, BOOLEAN_K, dag)?;
             outcome.maps += 1;
             for v in verify::report(&hyb_ref, &subject, sim_seed)? {
                 outcome.violations.push(CaseViolation {
                     kind: InvariantKind::Functional,
                     library: li,
-                    config: "hybrid serial".into(),
+                    config: "hybrid".into(),
                     detail: v.to_string(),
                 });
             }
@@ -409,75 +391,27 @@ pub fn check_network(
                     ),
                 });
             }
-            for &nt in &matrix.thread_counts {
-                if nt <= 1 {
-                    continue;
-                }
-                let threaded = MapOptions::dag().with_num_threads(nt);
-                let (bool_nt, _, _) =
-                    map_boolean_with_options(&subject, &lut.library, BOOLEAN_K, threaded)?;
-                outcome.maps += 1;
-                if blif::to_string(&bool_nt.to_network()?)? != bool_blif
-                    || bool_nt.delay().to_bits() != bool_ref.delay().to_bits()
-                {
-                    outcome.violations.push(CaseViolation {
-                        kind: InvariantKind::BitIdentity,
-                        library: li,
-                        config: format!("boolean threads={nt}"),
-                        detail: format!(
-                            "boolean mapping diverged from serial (delay {} vs {})",
-                            bool_nt.delay(),
-                            bool_ref.delay()
-                        ),
-                    });
-                }
-                let (hyb_nt, _, _) =
-                    map_hybrid_with_options(&subject, &lut.library, BOOLEAN_K, threaded)?;
-                outcome.maps += 1;
-                if blif::to_string(&hyb_nt.to_network()?)? != hyb_blif
-                    || hyb_nt.delay().to_bits() != hyb_ref.delay().to_bits()
-                {
-                    outcome.violations.push(CaseViolation {
-                        kind: InvariantKind::BitIdentity,
-                        library: li,
-                        config: format!("hybrid threads={nt}"),
-                        detail: format!(
-                            "hybrid mapping diverged from serial (delay {} vs {})",
-                            hyb_nt.delay(),
-                            hyb_ref.delay()
-                        ),
-                    });
-                }
-            }
         }
     }
 
-    // Sequential cross-check: the minimum clock period is bit-identical
-    // across retime thread counts (checked on one mid-size library).
+    // Sequential check: retiming plus mapping never needs a longer clock
+    // period than the combinational DAG optimum (checked on one mid-size
+    // library; the slack covers the period search's tolerance).
     if matrix.check_retime && net.num_latches() > 0 {
         let li = 1.min(libs.len() - 1); // lib2 when present
-        let mut reference: Option<f64> = None;
-        for &nt in &matrix.thread_counts {
-            let r = min_cycle_period_with(
-                &subject,
-                &libs[li].library,
-                MatchMode::Standard,
-                1e-3,
-                Some(nt),
-            )?;
-            outcome.maps += 1;
-            match reference {
-                None => reference = Some(r.period),
-                Some(p) if p.to_bits() != r.period.to_bits() => {
-                    outcome.violations.push(CaseViolation {
-                        kind: InvariantKind::BitIdentity,
-                        library: li,
-                        config: format!("retime threads={nt}"),
-                        detail: format!("minimum period {} diverged from {p}", r.period),
-                    });
-                }
-                Some(_) => {}
-            }
+        let r = min_cycle_period(&subject, &libs[li].library, MatchMode::Standard, 1e-3)?;
+        outcome.maps += 1;
+        let comb = dag_delays[li];
+        if r.period > comb * (1.0 + 1e-5) + 1e-6 {
+            outcome.violations.push(CaseViolation {
+                kind: InvariantKind::Optimality,
+                library: li,
+                config: "retime vs dag".into(),
+                detail: format!(
+                    "minimum period {} exceeds the combinational optimum {comb}",
+                    r.period
+                ),
+            });
         }
     }
     Ok(outcome)

@@ -4,10 +4,10 @@
 //!
 //! The paper's claim is *optimality*: DAG covering must never be beaten on
 //! delay by tree covering, must always stay functionally equivalent to its
-//! subject graph, and — after PRs 1–3 — must produce bit-identical results
-//! across every performance configuration (thread counts, fingerprint
-//! index, cone-class memo, supergate-extended libraries). This crate sweeps
-//! that whole matrix adversarially:
+//! subject graph, and must produce bit-identical results across every
+//! performance configuration (fingerprint index, cone-class memo, strash-id
+//! keying) on every library, supergate-extended ones included. This crate
+//! sweeps that whole matrix adversarially:
 //!
 //! 1. **Generate** a random combinational or sequential network from a seed
 //!    (reusing `dagmap-benchgen`'s knob-driven generators).
@@ -16,14 +16,14 @@
 //!    * *functional* — equivalence + timing consistency via `core::verify`,
 //!      for the structural, boolean, and hybrid matchers alike,
 //!    * *bit-identity* — mapped BLIF and critical delay agree bit-for-bit
-//!      across thread counts and acceleration settings for every matcher
-//!      (and, for sequential cases, the minimum clock period across retime
-//!      thread counts),
+//!      across acceleration settings,
 //!    * *optimality ordering* — DAG delay ≤ tree delay, extended-match
 //!      delay ≤ standard, supergate-extended library ≤ its base, area
 //!      recovery never worsens delay, hybrid matching ≤ both structural
-//!      and boolean-only (its candidate set is a superset of each), and
-//!      everything ≥ the depth lower bound [`depth_lower_bound`].
+//!      and boolean-only (its candidate set is a superset of each), the
+//!      retimed minimum clock period ≤ the combinational DAG delay on
+//!      sequential cases, and everything ≥ the depth lower bound
+//!      [`depth_lower_bound`].
 //! 3. **Shrink** any violation by delta-debugging the subject network
 //!    ([`shrink::minimize`]) down to a minimal BLIF repro and write it to a
 //!    corpus directory, where `tests/fuzz_corpus.rs` replays it as an
@@ -71,13 +71,10 @@ pub struct FuzzOptions {
     pub cases: usize,
     /// Ceiling on generated gate counts (the per-case roll stays below it).
     pub max_gates: usize,
-    /// Thread counts to differentiate against the serial reference. Must
-    /// contain at least one entry besides `1`.
-    pub thread_counts: Vec<usize>,
     /// Also test supergate-extended variants of `lib2` and `44-1`.
     pub supergates: bool,
-    /// Cross-check the sequential mapper's minimum clock period across
-    /// thread counts on sequential cases.
+    /// On sequential cases, check the sequential mapper's minimum clock
+    /// period against the combinational DAG optimum.
     pub check_retime: bool,
     /// Delta-debug failing cases down to minimal repros.
     pub shrink: bool,
@@ -92,7 +89,6 @@ impl Default for FuzzOptions {
             seed: 1,
             cases: 100,
             max_gates: 60,
-            thread_counts: vec![1, 2],
             supergates: true,
             check_retime: true,
             shrink: true,
@@ -143,14 +139,8 @@ pub struct FuzzReport {
 /// the corpus, or libraries that cannot map at all. Invariant violations
 /// are returned in [`FuzzReport::failures`].
 pub fn run(options: &FuzzOptions) -> Result<FuzzReport, FuzzError> {
-    // The differential matrix exists to catch divergence in the parallel
-    // wavefront engine; on single-CPU hosts the labeler would otherwise
-    // decline the worker pool and the threaded variants would trivially
-    // equal serial. Force the real code path under test.
-    std::env::set_var("DAGMAP_LABEL_FORCE_PARALLEL", "1");
     let libs = libraries_under_test(options.supergates)?;
     let matrix = Matrix {
-        thread_counts: options.thread_counts.clone(),
         check_retime: options.check_retime,
         check_boolean: true,
     };

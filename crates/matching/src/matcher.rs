@@ -186,8 +186,8 @@ impl MatchConfig {
 /// * `leaves_buf`/`covered_buf` — the current match's pin binding, bounded
 ///   by the widest gate of the library.
 ///
-/// One scratch per thread is the intended usage; the parallel labeling
-/// engine of `dagmap-core` keeps one per worker.
+/// One scratch per thread is the intended usage; a labeling pass of
+/// `dagmap-core` keeps one for its whole run.
 ///
 /// The scratch also embeds a [`ConeScratch`] used by the memoized entry
 /// points ([`Matcher::class_at`], [`Matcher::for_each_match_via`]) to

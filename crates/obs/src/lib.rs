@@ -18,7 +18,7 @@
 //! * **Exporters**: Chrome trace-event JSON ([`Trace::to_chrome_json`],
 //!   loadable in `chrome://tracing` and Perfetto, one track per worker
 //!   lane) and a human-readable phase report ([`report::render`]) with a
-//!   self/total time tree, per-level wavefront occupancy and match-kernel
+//!   self/total time tree, per-level label profile and match-kernel
 //!   hit rates.
 //!
 //! # Sessions

@@ -2,8 +2,8 @@
 //! aggregated multi-run profile used by `dagmap profile`.
 //!
 //! The phase report is built entirely from the [`Trace`]: the self/total
-//! time tree comes from session-lane span nesting, wavefront occupancy
-//! from `label.wave` / `label.worker.wave` span arguments, and the
+//! time tree comes from session-lane span nesting, the per-level label
+//! profile from `label.wave` span arguments, and the
 //! match-kernel section from the `match.*` counters and the
 //! `match.per_node` histogram.
 
@@ -122,7 +122,7 @@ fn arg_u64(span: &SpanRec, key: &str) -> Option<u64> {
     })
 }
 
-/// Renders the full phase report: time tree, wavefront occupancy,
+/// Renders the full phase report: time tree, per-level label profile,
 /// match-kernel hit rates, then raw counters and histograms.
 pub fn render(trace: &Trace) -> String {
     let mut out = String::new();
@@ -189,15 +189,14 @@ pub fn render(trace: &Trace) -> String {
     out
 }
 
-/// Per-level wavefront occupancy, from `label.wave` spans (session lane,
-/// one per topological level, `level`/`nodes` args) and
-/// `label.worker.wave` spans (worker lanes, one per worker that actually
-/// had nodes at that level).
+/// Per-level label profile, from `label.wave` spans (session lane, one
+/// per topological level, `level`/`nodes` args): nodes labeled and time
+/// spent per level.
 fn render_wavefronts(trace: &Trace, out: &mut String) {
-    let mut levels: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new(); // level → (nodes, dur_ns, workers)
+    let mut levels: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // level → (nodes, dur_ns)
     for span in trace.session_lane().filter(|s| s.name == "label.wave") {
         if let Some(level) = arg_u64(span, "level") {
-            let e = levels.entry(level).or_insert((0, 0, 0));
+            let e = levels.entry(level).or_insert((0, 0));
             e.0 += arg_u64(span, "nodes").unwrap_or(0);
             e.1 += span.dur_ns;
         }
@@ -205,61 +204,39 @@ fn render_wavefronts(trace: &Trace, out: &mut String) {
     if levels.is_empty() {
         return;
     }
-    for span in trace
-        .spans
-        .iter()
-        .filter(|s| s.lane != 0 && s.name == "label.worker.wave")
-    {
-        if let Some(level) = arg_u64(span, "level") {
-            if let Some(e) = levels.get_mut(&level) {
-                e.2 += 1;
-            }
-        }
-    }
     let _ = writeln!(out);
     let _ = writeln!(out, "wavefront occupancy ({} levels):", levels.len());
-    let _ = writeln!(
-        out,
-        "  {:>6} {:>10} {:>10} {:>8}",
-        "level", "nodes", "time", "workers"
-    );
+    let _ = writeln!(out, "  {:>6} {:>10} {:>10}", "level", "nodes", "time");
     const HEAD: usize = 12;
     const TAIL: usize = 4;
     let n = levels.len();
     let rows: Vec<_> = levels.iter().collect();
     let mut skipped = (0u64, 0u64); // (levels, nodes)
-    for (i, (level, (nodes, dur, workers))) in rows.iter().enumerate() {
+    for (i, (level, (nodes, dur))) in rows.iter().enumerate() {
         if n > HEAD + TAIL + 1 && i >= HEAD && i < n - TAIL {
             skipped.0 += 1;
             skipped.1 += *nodes;
             if i == n - TAIL - 1 {
                 let _ = writeln!(
                     out,
-                    "  {:>6} {:>10} {:>10} {:>8}",
+                    "  {:>6} {:>10} {:>10}",
                     format!("..x{}", skipped.0),
                     skipped.1,
-                    "",
                     ""
                 );
             }
             continue;
         }
-        let workers_col = if *workers == 0 {
-            "serial".to_owned()
-        } else {
-            workers.to_string()
-        };
         let _ = writeln!(
             out,
-            "  {:>6} {:>10} {:>10} {:>8}",
+            "  {:>6} {:>10} {:>10}",
             level,
             nodes,
-            fmt_dur(*dur).trim(),
-            workers_col
+            fmt_dur(*dur).trim()
         );
     }
-    let total_nodes: u64 = rows.iter().map(|(_, (n, _, _))| n).sum();
-    let max_nodes = rows.iter().map(|(_, (n, _, _))| *n).max().unwrap_or(0);
+    let total_nodes: u64 = rows.iter().map(|(_, (n, _))| n).sum();
+    let max_nodes = rows.iter().map(|(_, (n, _))| *n).max().unwrap_or(0);
     let _ = writeln!(
         out,
         "  total {total_nodes} nodes, mean {:.1}/level, widest level {max_nodes}",
@@ -494,7 +471,11 @@ mod tests {
         assert!(text.contains("map"));
         assert!(text.contains("label.wave x3"));
         assert!(text.contains("wavefront occupancy (3 levels)"));
+        // One row per level: level, node count, time — no workers column.
+        assert!(text.contains("level      nodes       time\n"), "{text}");
+        assert!(!text.contains("workers"), "{text}");
         assert!(text.contains("total 60 nodes"));
+        assert!(text.contains("widest level 30"), "{text}");
         assert!(text.contains("match kernel"));
         assert!(text.contains("(20.0% of considered)"), "{text}");
         // 512 live bits over 32 words = 25% batch occupancy.

@@ -52,4 +52,4 @@ pub mod seqmap;
 pub use error::RetimeError;
 pub use graph::{SeqEdge, SeqGraph, SeqVertex};
 pub use retime::{minimize_period, Retiming};
-pub use seqmap::{min_cycle_period, min_cycle_period_with, period_feasible, SeqMapResult};
+pub use seqmap::{min_cycle_period, period_feasible, SeqMapResult};

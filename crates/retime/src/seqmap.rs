@@ -31,7 +31,7 @@
 //! cones — an accumulator's carry chain, for instance, retimes to roughly
 //! half its combinational-optimum delay.
 
-use dagmap_core::{MapOptions, MappedNetlist, Mapper};
+use dagmap_core::{MappedNetlist, Mapper};
 use dagmap_genlib::Library;
 use dagmap_match::{ClassId, Match, MatchMode, MatchScratch, MatchStore, Matcher};
 use dagmap_netlist::{NodeFn, NodeId, SubjectGraph};
@@ -284,39 +284,16 @@ pub fn min_cycle_period(
     mode: MatchMode,
     tol: f64,
 ) -> Result<SeqMapResult, RetimeError> {
-    min_cycle_period_with(subject, library, mode, tol, None)
-}
-
-/// [`min_cycle_period`] with an explicit worker-thread count for the
-/// combinational labeling bound (`None` = serial), the knob `dagmap retime
-/// --threads` exposes. The search result is identical for every value —
-/// parallel labeling is bit-identical to serial.
-///
-/// # Errors
-///
-/// Same failure modes as [`min_cycle_period`].
-pub fn min_cycle_period_with(
-    subject: &SubjectGraph,
-    library: &Library,
-    mode: MatchMode,
-    tol: f64,
-    num_threads: Option<usize>,
-) -> Result<SeqMapResult, RetimeError> {
     let _search_span = dagmap_obs::span("retime.search");
     let cache = {
         let _s = dagmap_obs::span("retime.cache");
         build_cache(subject, library, mode)?
     };
     // Upper bound: the combinational-optimal mapping retimed exactly.
-    let comb = dagmap_core::label_with(
-        subject,
-        library,
-        mode_to_options(mode).match_mode,
-        dagmap_core::Objective::Delay,
-        num_threads,
-    )
-    .map_err(|e| RetimeError::Map(e.to_string()))?
-    .critical_delay(subject);
+    let comb = Mapper::new(library)
+        .label(subject, mode)
+        .map_err(|e| RetimeError::Map(e.to_string()))?
+        .critical_delay(subject);
     let probe = |phi: f64| -> Result<Option<SeqMapResult>, RetimeError> {
         let mut span = dagmap_obs::span("retime.probe");
         let result = try_period(subject, library, &cache, phi)?;
@@ -355,14 +332,6 @@ pub fn min_cycle_period_with(
         }
     }
     Ok(best)
-}
-
-fn mode_to_options(mode: MatchMode) -> MapOptions {
-    match mode {
-        MatchMode::Exact => MapOptions::tree(),
-        MatchMode::Standard => MapOptions::dag(),
-        MatchMode::Extended => MapOptions::dag_extended(),
-    }
 }
 
 #[cfg(test)]

@@ -712,16 +712,10 @@ fn process_map(
             .map_err(|e| (ErrorKind::BadRequest, format!("subject graph: {e}")))?;
         let opts = serve_options(&req.algo, req.recover)?;
         let mapper = Mapper::new(&state.library);
-        let (mapped, report, snapshot) = if req.retain && inner.retain_cap > 0 {
-            mapper
-                .map_with_report_retaining(&subject, opts, Some(&state.shared))
-                .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?
-        } else {
-            let (mapped, report) = mapper
-                .map_with_report_shared(&subject, opts, &state.shared)
-                .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
-            (mapped, report, None)
-        };
+        let retain = req.retain && inner.retain_cap > 0;
+        let (mapped, report, snapshot) = mapper
+            .map_with_store(&subject, opts, Some(&state.shared), retain)
+            .map_err(|e| (ErrorKind::BadRequest, e.to_string()))?;
         if inner.verify {
             verify_mapping(inner, &mapped, &subject)?;
         }

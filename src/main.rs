@@ -24,7 +24,7 @@ use dagmap::core::{load, verify, verilog, MapOptions, MapReport, Mapper, Objecti
 use dagmap::genlib::Library;
 use dagmap::matching::MatchMode;
 use dagmap::netlist::{blif, Network, SubjectGraph};
-use dagmap::retime::{min_cycle_period_with, minimize_period, SeqGraph};
+use dagmap::retime::{min_cycle_period, minimize_period, SeqGraph};
 use dagmap::serve::{Endpoints, ServeConfig, Server};
 use dagmap::supergate::{extend_library, SupergateOptions};
 
@@ -91,12 +91,16 @@ observability options (map, luts, retime, stats, supergen, fuzz, profile):
   --trace <out.json>                  record the run as Chrome trace-event
                                       JSON (open in Perfetto or
                                       chrome://tracing; one track per
-                                      labeling worker). Results are
-                                      bit-identical with tracing on or off.
+                                      thread). Results are bit-identical
+                                      with tracing on or off.
   --profile                           print the phase report — self/total
-                                      time tree, per-level wavefront
-                                      occupancy, match-kernel hit rates —
+                                      time tree, per-level node counts and
+                                      label times, match-kernel hit rates —
                                       to stderr
+
+labeling is one serial pass; --threads sets supergate enumeration
+workers only, so only supergen and map (for --supergates) accept it;
+luts, retime, stats, fuzz and profile reject it as an unknown flag.
 
 map options:
   --builtin lib2|44-1|44-3|minimal    built-in library (default lib2)
@@ -109,8 +113,9 @@ map options:
   --buffer <max_load>                 bound fanout loads with buffers
   --supergates <depth>                extend the library with supergates up
                                       to <depth> composed gate levels first
-  --threads <n>                       labeling worker threads (default: all
-                                      hardware threads; results identical)
+  --threads <n>                       supergate enumeration workers for
+                                      --supergates (default: all hardware
+                                      threads; results identical)
   --no-accel                          disable the fingerprint index and the
                                       cone-class match memo (results are
                                       bit-identical; only speed changes)
@@ -183,7 +188,6 @@ top options:
 retime options:
   --builtin/--lib                     as for map
   --tol <t>                           period search tolerance (default 1e-3)
-  --threads <n>                       labeling worker threads
 
 lib options:
   --gates                             also print per-gate pattern statistics
@@ -202,16 +206,14 @@ fuzz options:
   --seed <n>                          master seed (default 1)
   --cases <n>                         generated cases (default 100)
   --max-gates <n>                     gate-count ceiling per case (default 60)
-  --threads <n>                       alternate thread count differenced
-                                      against serial (default 2)
   --corpus <dir>                      where minimized repros are written
                                       (default tests/corpus)
   --no-supergates                     skip supergate-extended library variants
-  --no-retime                         skip the sequential min-period cross-check
+  --no-retime                         skip the sequential min-period check
   --no-shrink                         keep failing cases full-size
 
 profile options:
-  --builtin/--lib, --threads          as for map
+  --builtin/--lib                     as for map
   --runs <n>                          mapping repetitions to aggregate
                                       (default 5)
   --trace <out.json>                  also write the last run's trace
@@ -300,13 +302,23 @@ fn reject_leftovers(args: &[String]) -> CmdResult {
     }
 }
 
+/// `--threads <n>`: supergate enumeration workers, the one place the
+/// pipeline runs threads within a command (`supergen`, `map
+/// --supergates`).
+fn take_threads(args: &mut Vec<String>) -> Result<Option<usize>, Box<dyn Error>> {
+    take_value(args, "--threads")?
+        .map(|s| {
+            s.parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| Box::<dyn Error>::from("--threads needs a positive integer"))
+        })
+        .transpose()
+}
+
 /// The flags shared by every pipeline command, parsed in exactly one
-/// place: worker threads and the two observability switches.
+/// place: the two observability switches.
 struct CliCommon {
-    /// `--threads <n>` (semantics are per-command; labeling workers for
-    /// map/retime, enumeration workers for supergen, the alternate
-    /// differential count for fuzz).
-    threads: Option<usize>,
     /// `--trace <out.json>`: write a Chrome trace-event file of the run.
     trace: Option<String>,
     /// `--profile`: print the phase report to stderr after the run.
@@ -315,21 +327,9 @@ struct CliCommon {
 
 impl CliCommon {
     fn parse(args: &mut Vec<String>) -> Result<CliCommon, Box<dyn Error>> {
-        let threads = take_value(args, "--threads")?
-            .map(|s| {
-                s.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| Box::<dyn Error>::from("--threads needs a positive integer"))
-            })
-            .transpose()?;
         let trace = take_value(args, "--trace")?;
         let profile = take_flag(args, "--profile");
-        Ok(CliCommon {
-            threads,
-            trace,
-            profile,
-        })
+        Ok(CliCommon { trace, profile })
     }
 
     /// Starts an obs session iff `--trace` or `--profile` was given. With
@@ -362,10 +362,9 @@ impl CliCommon {
 /// [`MapReport`].
 fn print_phases(report: &MapReport) {
     println!(
-        "phases: decompose {:.1} ms, label {:.1} ms ({} threads, {} levels), cover {:.1} ms, area recovery {:.1} ms",
+        "phases: decompose {:.1} ms, label {:.1} ms ({} levels), cover {:.1} ms, area recovery {:.1} ms",
         report.decompose_seconds * 1e3,
         report.label_seconds * 1e3,
-        report.label_threads,
         report.levels,
         report.cover_seconds * 1e3,
         report.area_recovery_seconds * 1e3,
@@ -376,7 +375,7 @@ fn cmd_map(args: &[String]) -> CmdResult {
     let mut args = args.to_vec();
     let common = CliCommon::parse(&mut args)?;
     let mut library = load_library(&mut args)?;
-    let threads = common.threads;
+    let threads = take_threads(&mut args)?;
     let supergates: Option<u32> = take_value(&mut args, "--supergates")?
         .map(|s| s.parse())
         .transpose()
@@ -429,8 +428,8 @@ fn cmd_map(args: &[String]) -> CmdResult {
         let subject = SubjectGraph::from_network(&net)?;
         let decompose_seconds = t_decompose.elapsed().as_secs_f64();
         // Boolean and hybrid matching feed the same labeling DP through the
-        // `MatchSource` seam, so every pipeline flag — threads, recovery,
-        // objective, --json — means the same thing for them.
+        // `MatchSource` seam, so every pipeline flag — recovery, objective,
+        // --json — means the same thing for them.
         let mut opts = match algo.as_str() {
             "dag" | "boolean" | "hybrid" => MapOptions::dag(),
             "tree" => MapOptions::tree(),
@@ -444,9 +443,6 @@ fn cmd_map(args: &[String]) -> CmdResult {
         };
         if recover {
             opts = opts.with_area_recovery();
-        }
-        if let Some(n) = threads {
-            opts = opts.with_num_threads(n);
         }
         if no_accel {
             opts = opts.with_match_acceleration(false);
@@ -621,11 +617,8 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         .transpose()
         .map_err(|_| "--supergates needs a depth (gate levels)")?;
     let mut config = ServeConfig::default();
-    if let Some(n) = common.threads.or(take_value(&mut args, "--workers")?
-        .map(|s| s.parse::<usize>())
-        .transpose()
-        .map_err(|_| "--workers needs an integer")?)
-    {
+    if let Some(n) = take_value(&mut args, "--workers")? {
+        let n: usize = n.parse().map_err(|_| "--workers needs an integer")?;
         config.workers = n.max(1);
     }
     if let Some(n) = take_value(&mut args, "--max-inflight")? {
@@ -943,8 +936,7 @@ fn cmd_retime(args: &[String]) -> CmdResult {
             pure.period
         );
 
-        let mapped =
-            min_cycle_period_with(&subject, &library, MatchMode::Standard, tol, common.threads)?;
+        let mapped = min_cycle_period(&subject, &library, MatchMode::Standard, tol)?;
         println!(
             "with mapping into `{}`: minimum clock period {:.3}",
             library.name(),
@@ -1034,11 +1026,8 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             );
             // One reference mapping run so the per-phase durations the
             // MapReport carries are part of the statistics readout.
-            let mut opts = MapOptions::dag();
-            if let Some(n) = common.threads {
-                opts = opts.with_num_threads(n);
-            }
-            let (_, mut report) = Mapper::new(&library).map_with_report(&subject, opts)?;
+            let (_, mut report) =
+                Mapper::new(&library).map_with_report(&subject, MapOptions::dag())?;
             report.decompose_seconds = decompose_seconds;
             print_phases(&report);
         }
@@ -1132,7 +1121,7 @@ fn cmd_supergen(args: &[String]) -> CmdResult {
     if let Some(p) = take_value(&mut args, "--max-pool")? {
         opts.max_pool = p.parse().map_err(|_| "--max-pool needs an integer")?;
     }
-    opts.num_threads = common.threads;
+    opts.num_threads = take_threads(&mut args)?;
     let out = take_value(&mut args, "--out")?;
     reject_leftovers(&args)?;
 
@@ -1185,14 +1174,6 @@ fn cmd_fuzz(args: &[String]) -> CmdResult {
     }
     if let Some(g) = take_value(&mut args, "--max-gates")? {
         opts.max_gates = g.parse().map_err(|_| "--max-gates needs an integer")?;
-    }
-    if let Some(t) = common.threads {
-        if t < 2 {
-            return Err(
-                "--threads needs an alternate count >= 2 to difference against serial".into(),
-            );
-        }
-        opts.thread_counts = vec![1, t];
     }
     opts.supergates = !take_flag(&mut args, "--no-supergates");
     opts.check_retime = !take_flag(&mut args, "--no-retime");
@@ -1274,11 +1255,7 @@ fn cmd_profile(args: &[String]) -> CmdResult {
                 blif::parse(&text)?
             };
             let subject = SubjectGraph::from_network(&net)?;
-            let mut opts = MapOptions::dag();
-            if let Some(n) = common.threads {
-                opts = opts.with_num_threads(n);
-            }
-            let _ = Mapper::new(&library).map_with_report(&subject, opts)?;
+            let _ = Mapper::new(&library).map_with_report(&subject, MapOptions::dag())?;
             Ok(())
         })();
         let trace = session.finish();

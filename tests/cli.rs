@@ -352,9 +352,21 @@ fn threads_flag_is_accepted_and_validated() {
     let seq = temp_path("thr_acc4.blif");
     let (ok, _, err) = dagmap(&["gen", "acc4", "--out", &seq]);
     assert!(ok, "{err}");
-    let (ok, out, err) = dagmap(&["retime", &seq, "--builtin", "minimal", "--threads", "2"]);
-    assert!(ok, "{err}");
-    assert!(out.contains("minimum clock period"), "{out}");
+    // Labeling is serial, so only supergate enumeration takes workers:
+    // commands without it reject the flag instead of ignoring it.
+    let (ok, _, err) = dagmap(&["retime", &seq, "--builtin", "minimal", "--threads", "2"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--threads`"), "{err}");
+    for case in [
+        &["luts", &blif, "--threads", "2"][..],
+        &["stats", &blif, "--threads", "2"],
+        &["profile", &blif, "--threads", "2"],
+        &["fuzz", "--threads", "2"],
+    ] {
+        let (ok, _, err) = dagmap(case);
+        assert!(!ok, "`{}` accepted --threads", case.join(" "));
+        assert!(err.contains("unknown flag `--threads`"), "{err}");
+    }
 
     let (ok, _, err) = dagmap(&["map", &blif, "--builtin", "44-1", "--threads", "0"]);
     assert!(!ok);
